@@ -191,6 +191,11 @@ type Service struct {
 	disp  *dispatch.Dispatcher // nil without configured backends
 	jit   *dispatch.Jitter     // recovery retry backoff jitter
 
+	// attempts tracks every compute goroutine runJob starts, including
+	// ones a stalled attempt abandoned; shutdown joins them so none
+	// outlives Close.
+	attempts sync.WaitGroup
+
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	nextID int64
@@ -696,6 +701,7 @@ func (s *Service) shutdown(ctx context.Context) error {
 		<-drained
 	}
 	s.stop()
+	s.attempts.Wait() // abandoned attempts unwind into the cancelled base context
 	if s.wdDone != nil {
 		<-s.wdDone // no scan may trip jobs once shutdown returns
 	}
@@ -777,7 +783,9 @@ func (s *Service) runJob(j *Job) {
 		err error
 	}
 	done := make(chan outcome, 1)
+	s.attempts.Add(1)
 	go func() {
+		defer s.attempts.Done()
 		defer func() {
 			if r := recover(); r != nil {
 				done <- outcome{nil, fmt.Errorf("service: job panicked: %v", r)}
@@ -809,9 +817,10 @@ func (s *Service) runJob(j *Job) {
 	case <-j.stallChan():
 		// The watchdog declared this attempt stuck. Abandon the wedged
 		// computation -- done is buffered, so the goroutine cannot leak
-		// once it unwinds into its cancelled context -- and route the job
-		// back through the retry ladder; the next attempt resumes from
-		// the last durable checkpoint.
+		// once it unwinds into its cancelled context, and shutdown joins
+		// it through s.attempts -- and route the job back through the
+		// retry ladder; the next attempt resumes from the last durable
+		// checkpoint.
 		s.requeueOrFail(j)
 	}
 }
