@@ -57,7 +57,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 60*time.Second, "default per-job timeout")
 	journal := fs.String("journal", "", "job journal path (empty = in-memory only)")
 	syncJournal := fs.Bool("sync-journal", false, "fsync the journal after every entry")
-	journalProbe := fs.Duration("journal-probe", 0, "re-probe interval for a degraded (memory-only) journal (0 = default 2s)")
 	watchdog := fs.Duration("watchdog", 0, "stuck-progress window: cancel and requeue a job with no progress for this long (0 = off)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "in-memory result cache budget (0 = default 64 MiB, negative = caching off)")
 	cacheDir := fs.String("cache-dir", "", "durable result cache directory (empty = memory-only cache)")
@@ -85,17 +84,16 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cfg := service.Config{
-		Workers:           *workers,
-		QueueDepth:        *queue,
-		DefaultTimeout:    *timeout,
-		JournalPath:       *journal,
-		SyncJournal:       *syncJournal,
-		JournalProbeEvery: *journalProbe,
-		WatchdogWindow:    *watchdog,
-		CacheBytes:        *cacheBytes,
-		CacheDir:          *cacheDir,
-		Backends:          backends,
-		Logger:            logger.New(level, *logBuffer),
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		DefaultTimeout: *timeout,
+		JournalPath:    *journal,
+		SyncJournal:    *syncJournal,
+		WatchdogWindow: *watchdog,
+		CacheBytes:     *cacheBytes,
+		CacheDir:       *cacheDir,
+		Backends:       backends,
+		Logger:         logger.New(level, *logBuffer),
 		// One registry is shared by the middleware (per-route latency,
 		// in-flight, panics) and the service (job/stage counters), so
 		// GET /metrics reports both layers in a single document.

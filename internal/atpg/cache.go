@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/frame"
 	"repro/internal/netlist"
 	"repro/internal/resultcache"
 	"repro/internal/sim"
@@ -20,8 +21,10 @@ import (
 // result payload stored under it.
 
 // ResultPayloadVersion is the cached-result payload format version this
-// build reads and writes.
-const ResultPayloadVersion = 1
+// build reads and writes. Version 2 sealed the payload in a checksummed
+// frame; a version-1 payload fails to decode, so CachedRun deletes it
+// and recomputes.
+const ResultPayloadVersion = 2
 
 // resultMagic leads every encoded result payload.
 const resultMagic = "ATPGRSLT"
@@ -45,16 +48,14 @@ func CacheKey(c *netlist.Circuit, faults []fault.Fault, opt Options) resultcache
 }
 
 // EncodeResultPayload serializes the run-independent portion of a
-// Result into its canonical binary form: per-fault statuses in fault
-// list order, the test sequences 2-bit packed, and the deterministic
-// effort and fault-simulation counters. Effort.Time (wall clock) and
+// Result into its canonical checksummed frame: per-fault statuses in
+// fault list order, the test sequences 2-bit packed, and the
+// deterministic effort and fault-simulation counters. Effort.Time (wall clock) and
 // Parallel (scheduling bookkeeping) are deliberately excluded -- they
 // vary between identical runs, and a cache hit reports zero time and a
 // nil Parallel, exactly like an instantaneous single-threaded run.
 func EncodeResultPayload(res *Result) []byte {
 	buf := make([]byte, 0, 64+8*len(res.Faults))
-	buf = append(buf, resultMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, ResultPayloadVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(res.Faults)))
 	for _, f := range res.Faults {
 		st, ok := res.Status[f]
@@ -80,30 +81,29 @@ func EncodeResultPayload(res *Result) []byte {
 	buf = binary.AppendUvarint(buf, uint64(res.FsimStats.Evals))
 	buf = binary.AppendUvarint(buf, uint64(res.FsimStats.Drops))
 	buf = binary.AppendUvarint(buf, uint64(res.FsimStats.Repacks))
-	return buf
+	return frame.Seal(resultMagic, ResultPayloadVersion, buf)
 }
 
 // DecodeResultPayload parses an encoded payload back into a Result
 // bound to the caller's circuit and fault list (which the cache key
 // already proved identical to the producer's). It never panics on
-// arbitrary input; every failure -- truncation, bad magic, unknown
-// version, a fault count that disagrees with the caller's list,
-// non-canonical varints, trailing bytes -- wraps ErrResultPayload.
+// arbitrary input; every failure -- truncation, bad magic, checksum
+// mismatch, unknown version, a fault count that disagrees with the
+// caller's list, non-canonical varints, trailing bytes -- wraps
+// ErrResultPayload.
 // The decoded Result has Effort.Time zero and Parallel nil.
 func DecodeResultPayload(data []byte, c *netlist.Circuit, faults []fault.Fault) (*Result, error) {
-	if len(data) < len(resultMagic)+4 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrResultPayload, len(data))
+	v, body, err := frame.Open(data, resultMagic)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrResultPayload, err)
 	}
-	if string(data[:len(resultMagic)]) != resultMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrResultPayload)
-	}
-	if v := binary.LittleEndian.Uint32(data[len(resultMagic):]); v != ResultPayloadVersion {
+	if v != ResultPayloadVersion {
 		return nil, fmt.Errorf("%w: payload has version %d, this build reads %d",
 			ErrResultPayload, v, ResultPayloadVersion)
 	}
-	r := ckReader{data: data, pos: len(resultMagic) + 4}
-	n := int(r.uvarintMax(1 << 31))
-	if r.ok() && n != len(faults) {
+	r := frame.NewReader(body)
+	n := int(r.Uvarint(1 << 31))
+	if r.OK() && n != len(faults) {
 		return nil, fmt.Errorf("%w: payload covers %d faults, run targets %d",
 			ErrResultPayload, n, len(faults))
 	}
@@ -112,8 +112,8 @@ func DecodeResultPayload(data []byte, c *netlist.Circuit, faults []fault.Fault) 
 		Faults:  faults,
 		Status:  make(map[fault.Fault]FaultStatus, n),
 	}
-	for i := 0; i < n && r.ok(); i++ {
-		b := r.byte()
+	for i := 0; i < n && r.OK(); i++ {
+		b := r.Byte()
 		if b == 0 {
 			continue
 		}
@@ -122,38 +122,38 @@ func DecodeResultPayload(data []byte, c *netlist.Circuit, faults []fault.Fault) 
 		}
 		res.Status[faults[i]] = FaultStatus(b - 1)
 	}
-	nt := int(r.uvarintMax(1 << 31))
-	if r.ok() && nt > len(data)-r.pos {
+	nt := int(r.Uvarint(1 << 31))
+	if r.OK() && nt > r.Remaining() {
 		return nil, fmt.Errorf("%w: test count %d exceeds input", ErrResultPayload, nt)
 	}
-	if r.ok() && nt > 0 {
+	if r.OK() && nt > 0 {
 		res.Tests = make([]sim.Seq, 0, nt)
 	}
-	for i := 0; i < nt && r.ok(); i++ {
-		frames := int(r.uvarintMax(1 << 24))
-		width := int(r.uvarintMax(1 << 24))
-		if r.ok() && width != len(c.Inputs) {
+	for i := 0; i < nt && r.OK(); i++ {
+		frames := int(r.Uvarint(1 << 24))
+		width := int(r.Uvarint(1 << 24))
+		if r.OK() && width != len(c.Inputs) {
 			return nil, fmt.Errorf("%w: vector has %d bits, circuit has %d inputs",
 				ErrResultPayload, width, len(c.Inputs))
 		}
-		seq := r.packedSeq(frames, width)
-		if !r.ok() {
+		seq := readPackedSeq(r, frames, width)
+		if !r.OK() {
 			break
 		}
 		res.Tests = append(res.Tests, seq)
 		res.TestSet = append(res.TestSet, seq...)
 	}
-	res.Effort.Evals = int64(r.uvarintMax(1 << 62))
-	res.Effort.Backtracks = int64(r.uvarintMax(1 << 62))
-	res.FsimStats.Cycles = int64(r.uvarintMax(1 << 62))
-	res.FsimStats.Evals = int64(r.uvarintMax(1 << 62))
-	res.FsimStats.Drops = int64(r.uvarintMax(1 << 62))
-	res.FsimStats.Repacks = int64(r.uvarintMax(1 << 62))
-	if !r.ok() {
+	res.Effort.Evals = int64(r.Uvarint(1 << 62))
+	res.Effort.Backtracks = int64(r.Uvarint(1 << 62))
+	res.FsimStats.Cycles = int64(r.Uvarint(1 << 62))
+	res.FsimStats.Evals = int64(r.Uvarint(1 << 62))
+	res.FsimStats.Drops = int64(r.Uvarint(1 << 62))
+	res.FsimStats.Repacks = int64(r.Uvarint(1 << 62))
+	if !r.OK() {
 		return nil, fmt.Errorf("%w: truncated or non-canonical encoding", ErrResultPayload)
 	}
-	if r.pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrResultPayload, len(data)-r.pos)
+	if n := r.Remaining(); n != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrResultPayload, n)
 	}
 	return res, nil
 }

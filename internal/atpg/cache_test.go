@@ -3,11 +3,13 @@ package atpg
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/frame"
 	"repro/internal/netlist"
 	"repro/internal/resultcache"
 )
@@ -88,9 +90,8 @@ func TestResultPayloadRejectsCorruption(t *testing.T) {
 		mut := append([]byte(nil), payload...)
 		mut[i] ^= 0x55
 		got, err := DecodeResultPayload(mut, c, reps)
-		// Unlike the checksummed entry frame, the payload has no
-		// integrity trailer of its own (the cache entry provides it);
-		// a flip may decode, but never to a misencoding.
+		// The payload frame's checksum rejects flips; whatever does
+		// decode must still never be a misencoding.
 		if err == nil && !bytes.Equal(EncodeResultPayload(got), mut) {
 			t.Fatalf("bit flip at %d: accepted input does not round-trip", i)
 		}
@@ -103,6 +104,35 @@ func TestResultPayloadRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeResultPayload(append(payload, 0), c, reps); !errors.Is(err, ErrResultPayload) {
 		t.Fatal("trailing byte accepted")
+	}
+}
+
+// TestResultPayloadRejectsVersion1: a payload in the unframed version-1
+// layout (magic, version, body, no checksum trailer) that an older build
+// cached fails to decode, so CachedRun deletes it and recomputes.
+func TestResultPayloadRejectsVersion1(t *testing.T) {
+	c := netlist.Fig5N1()
+	reps, _ := fault.Collapse(c)
+	res := Run(c, reps, checkpointOptions())
+	_, body, err := frame.Open(EncodeResultPayload(res), resultMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := binary.LittleEndian.AppendUint32([]byte(resultMagic), 1)
+	v1 = append(v1, body...)
+	if _, err := DecodeResultPayload(v1, c, reps); !errors.Is(err, ErrResultPayload) {
+		t.Fatalf("version-1 payload: got %v, want ErrResultPayload", err)
+	}
+
+	cache := resultcache.New(resultcache.Config{})
+	key := CacheKey(c, reps, checkpointOptions())
+	cache.Put(key, v1)
+	got, src, err := CachedRun(context.Background(), cache, c, reps, checkpointOptions())
+	if err != nil || src != resultcache.SourceNone {
+		t.Fatalf("version-1 hit: src=%v err=%v, want a recompute", src, err)
+	}
+	if !bytes.Equal(EncodeResultPayload(got), EncodeResultPayload(res)) {
+		t.Fatal("recomputed result differs from the direct run")
 	}
 }
 

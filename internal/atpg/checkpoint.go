@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/failpoint"
 	"repro/internal/fault"
+	"repro/internal/frame"
 	"repro/internal/iofault"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -44,18 +44,19 @@ const DefaultCheckpointEvery = 64
 // checkpointMagic leads every encoded checkpoint.
 const checkpointMagic = "ATPGCKPT"
 
-// Failpoint names armed by chaos tests to crash inside the checkpoint
-// write path.
-const (
-	FailpointCheckpointBeforeWrite = "atpg.checkpoint.before-write"
-	FailpointCheckpointAfterTmp    = "atpg.checkpoint.after-tmp"
-	FailpointCheckpointAfterWrite  = "atpg.checkpoint.after-write"
-)
-
 // CheckpointIOFaultSite names this package's iofault site: chaos tests
 // arm iofault.Point(CheckpointIOFaultSite, op) to fail checkpoint
 // opens, writes, syncs, renames or reads with ENOSPC/EIO/torn writes.
 const CheckpointIOFaultSite = "checkpoint"
+
+// Failpoint names armed by chaos tests to crash inside the checkpoint
+// write path: before anything is written, and between the complete,
+// fsynced tmp file and its rename over Path (the iofault rename point
+// of CheckpointIOFaultSite).
+const (
+	FailpointCheckpointBeforeWrite = "atpg.checkpoint.before-write"
+	FailpointCheckpointAfterTmp    = "iofault." + CheckpointIOFaultSite + "." + iofault.OpRename
+)
 
 // Checkpoint decode/validate errors. Decode failures wrap
 // ErrCheckpointCorrupt or ErrCheckpointVersion; Validate failures wrap
@@ -179,8 +180,6 @@ func (ck *Checkpoint) Validate(c *netlist.Circuit, faults []fault.Fault, opt Opt
 // round-trips byte-identically.
 func (ck *Checkpoint) Encode() []byte {
 	buf := make([]byte, 0, 64+32*len(ck.Decided))
-	buf = append(buf, checkpointMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, CheckpointVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, ck.CircuitHash)
 	buf = binary.LittleEndian.AppendUint64(buf, ck.FaultsHash)
 	buf = binary.LittleEndian.AppendUint64(buf, ck.OptionsHash)
@@ -203,10 +202,7 @@ func (ck *Checkpoint) Encode() []byte {
 			buf = appendPackedSeq(buf, d.Seq)
 		}
 	}
-	var h ckHash
-	h.init()
-	h.bytes(buf)
-	return binary.LittleEndian.AppendUint64(buf, h.sum())
+	return frame.Seal(checkpointMagic, CheckpointVersion, buf)
 }
 
 // DecodeCheckpoint parses an encoded checkpoint. It never panics on
@@ -215,74 +211,64 @@ func (ck *Checkpoint) Encode() []byte {
 // bytes) returns an error wrapping ErrCheckpointCorrupt, except a valid
 // frame carrying an unknown version, which wraps ErrCheckpointVersion.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	headerLen := len(checkpointMagic) + 4 + 3*8
-	if len(data) < headerLen+3+8 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCheckpointCorrupt, len(data))
+	v, body, err := frame.Open(data, checkpointMagic)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 	}
-	if string(data[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCheckpointCorrupt)
-	}
-	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	var h ckHash
-	h.init()
-	h.bytes(body)
-	if h.sum() != binary.LittleEndian.Uint64(trailer) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCheckpointCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(data[len(checkpointMagic):]); v != CheckpointVersion {
+	if v != CheckpointVersion {
 		return nil, fmt.Errorf("%w: file has version %d, this build reads %d",
 			ErrCheckpointVersion, v, CheckpointVersion)
 	}
-	r := ckReader{data: body, pos: len(checkpointMagic) + 4}
+	r := frame.NewReader(body)
 	ck := &Checkpoint{Version: CheckpointVersion}
-	ck.CircuitHash = r.fixed64()
-	ck.FaultsHash = r.fixed64()
-	ck.OptionsHash = r.fixed64()
-	ck.NumFaults = int(r.uvarintMax(1 << 31))
-	ck.RandomDone = int(r.uvarintMax(1 << 31))
-	n := int(r.uvarintMax(1 << 31))
+	ck.CircuitHash = r.Fixed64()
+	ck.FaultsHash = r.Fixed64()
+	ck.OptionsHash = r.Fixed64()
+	ck.NumFaults = int(r.Uvarint(1 << 31))
+	ck.RandomDone = int(r.Uvarint(1 << 31))
+	n := int(r.Uvarint(1 << 31))
 	// A decision log entry is at least 6 bytes; reject counts the
 	// remaining input cannot possibly hold before allocating.
-	if r.ok() && n > (len(body)-r.pos)/6 {
+	if r.OK() && n > r.Remaining()/6 {
 		return nil, fmt.Errorf("%w: decision log count %d exceeds input", ErrCheckpointCorrupt, n)
 	}
-	if r.ok() {
+	if r.OK() {
 		ck.Decided = make([]DecidedFault, 0, n)
 	}
-	for i := 0; i < n && r.ok(); i++ {
+	for i := 0; i < n && r.OK(); i++ {
 		var d DecidedFault
-		d.Fault.Node = int(r.uvarintMax(1 << 31))
-		d.Fault.Pin = int(r.varintMin(fault.StemPin))
-		sa := r.byte()
+		d.Fault.Node = int(r.Uvarint(1 << 31))
+		d.Fault.Pin = int(r.Varint(fault.StemPin, 1<<31))
+		sa := r.Byte()
 		if sa > 1 {
 			return nil, fmt.Errorf("%w: stuck-at value %d", ErrCheckpointCorrupt, sa)
 		}
 		d.Fault.SA = logic.V(sa)
-		st := r.byte()
+		st := r.Byte()
 		if st > uint8(StatusRedundant) {
 			return nil, fmt.Errorf("%w: fault status %d", ErrCheckpointCorrupt, st)
 		}
 		d.Status = FaultStatus(st)
-		d.Evals = int64(r.uvarintMax(1 << 62))
-		d.Backtracks = int64(r.uvarintMax(1 << 62))
+		d.Evals = int64(r.Uvarint(1 << 62))
+		d.Backtracks = int64(r.Uvarint(1 << 62))
 		if d.Status == StatusDetected {
-			frames := int(r.uvarintMax(1 << 24))
-			width := int(r.uvarintMax(1 << 24))
-			if r.ok() && frames == 0 {
+			frames := int(r.Uvarint(1 << 24))
+			width := int(r.Uvarint(1 << 24))
+			if r.OK() && frames == 0 {
 				return nil, fmt.Errorf("%w: detected fault without a test", ErrCheckpointCorrupt)
 			}
-			d.Seq = r.packedSeq(frames, width)
+			d.Seq = readPackedSeq(r, frames, width)
 		}
-		if !r.ok() {
+		if !r.OK() {
 			break
 		}
 		ck.Decided = append(ck.Decided, d)
 	}
-	if !r.ok() {
+	if !r.OK() {
 		return nil, fmt.Errorf("%w: truncated or non-canonical encoding", ErrCheckpointCorrupt)
 	}
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, len(body)-r.pos)
+	if n := r.Remaining(); n != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, n)
 	}
 	return ck, nil
 }
@@ -300,39 +286,7 @@ func (ck *Checkpoint) writeFile(path string, syncDir bool) error {
 	if err := failpoint.Inject(FailpointCheckpointBeforeWrite); err != nil {
 		return err
 	}
-	data := ck.Encode()
-	tmp := path + ".tmp"
-	f, err := iofault.OpenFile(CheckpointIOFaultSite, tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp) // a failed write leaves torn bytes; keep only Path pristine
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := failpoint.Inject(FailpointCheckpointAfterTmp); err != nil {
-		return err
-	}
-	if err := iofault.Rename(CheckpointIOFaultSite, tmp, path); err != nil {
-		return err
-	}
-	// Best-effort: make the rename itself durable.
-	if syncDir {
-		if d, err := os.Open(filepath.Dir(path)); err == nil {
-			d.Sync()
-			d.Close()
-		}
-	}
-	return failpoint.Inject(FailpointCheckpointAfterWrite)
+	return iofault.WriteAtomic(CheckpointIOFaultSite, path, ck.Encode(), syncDir)
 }
 
 // LoadCheckpoint reads and decodes the checkpoint at path. A missing
@@ -376,14 +330,12 @@ func TryResume(opt *Options, c *netlist.Circuit, faults []fault.Fault) (resumed 
 			return false, nil
 		}
 		if isCheckpointErr(err) {
-			os.Remove(path)
-			os.Remove(path + ".tmp")
+			iofault.Discard(path)
 		}
 		return report(false, err)
 	}
 	if err := ck.Validate(c, faults, *opt); err != nil {
-		os.Remove(path)
-		os.Remove(path + ".tmp")
+		iofault.Discard(path)
 		return report(false, err)
 	}
 	opt.Checkpoint.ResumeFrom = ck
@@ -405,28 +357,20 @@ func isCheckpointErr(err error) bool {
 // It lives on the generator goroutine only.
 //
 // Write failures never stop the run -- they only degrade durability --
-// but a full disk would otherwise be hammered with a doomed
-// encode+write every cadence period. After a failed emit the writer
-// backs off exponentially (skip 1 cadence period, then 2, 4, ...,
-// capped at ckMaxCooldown), re-attempting when the cooldown expires;
-// any success resets it. The final flush always attempts regardless,
-// so a disk that recovers by run end still gets the complete log, and
-// an emit that fails partway can never corrupt the previous complete
-// checkpoint at Path (writes go through tmp+rename).
+// and every cadence boundary attempts an emit regardless of earlier
+// failures: a failed emit does no more work than a successful one (it
+// stops at the step that failed), and each emit is a progress
+// heartbeat through OnWrite, the only one the service's watchdog sees
+// inside the ATPG stage. An emit that fails partway can never corrupt
+// the previous complete checkpoint at Path (iofault.WriteAtomic).
 type ckWriter struct {
 	cfg       CheckpointConfig
 	every     int
 	ck        *Checkpoint
-	since     int  // decided entries since the last emit attempt window
+	since     int  // decided entries since the last emit
 	persisted int  // log entries covered by the last successful emit
 	dirSynced bool // directory entry made durable by a prior emit
-	failures  int  // consecutive failed emits
-	cooldown  int  // cadence periods left to skip before retrying
 }
-
-// ckMaxCooldown caps the write-failure backoff at this many cadence
-// periods between retries.
-const ckMaxCooldown = 32
 
 // newCkWriter returns nil unless the options ask for checkpoints.
 func newCkWriter(c *netlist.Circuit, faults []fault.Fault, opt Options) *ckWriter {
@@ -456,26 +400,19 @@ func (w *ckWriter) replayed(d DecidedFault) {
 	}
 }
 
-// decided appends a freshly decided fault and flushes on cadence,
-// honoring the failure cooldown.
+// decided appends a freshly decided fault and flushes on cadence.
 func (w *ckWriter) decided(d DecidedFault) {
 	if w == nil {
 		return
 	}
 	w.ck.Decided = append(w.ck.Decided, d)
 	if w.since++; w.since >= w.every {
-		w.since = 0
-		if w.cooldown > 0 {
-			w.cooldown--
-			return
-		}
 		w.emit()
 	}
 }
 
 // final flushes the tail of the log when the run ends for any reason --
-// completion, cancellation (SIGINT), or failure. It ignores any
-// cooldown: this is the last chance to persist the full log.
+// completion, cancellation (SIGINT), or failure.
 func (w *ckWriter) final() {
 	if w != nil && len(w.ck.Decided) > w.persisted {
 		w.emit()
@@ -483,24 +420,15 @@ func (w *ckWriter) final() {
 }
 
 // emit writes the checkpoint (write failures degrade durability, never
-// the run), arms or resets the backoff, and reports to OnWrite.
+// the run) and reports to OnWrite.
 func (w *ckWriter) emit() {
 	w.since = 0
 	var err error
 	if w.cfg.Path != "" {
 		err = w.ck.writeFile(w.cfg.Path, !w.dirSynced)
-		if err == nil {
-			w.dirSynced = true
-		}
 	}
-	if err != nil {
-		w.failures++
-		w.cooldown = 1 << (w.failures - 1)
-		if w.failures > 5 || w.cooldown > ckMaxCooldown {
-			w.cooldown = ckMaxCooldown
-		}
-	} else {
-		w.failures, w.cooldown = 0, 0
+	if err == nil {
+		w.dirSynced = true
 		w.persisted = len(w.ck.Decided)
 	}
 	if w.cfg.OnWrite != nil {
@@ -510,64 +438,20 @@ func (w *ckWriter) emit() {
 
 // --- identity hashing and the canonical wire format ---
 
-// ckHash is inline FNV-1a/64.
-type ckHash uint64
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func (h *ckHash) init() { *h = fnvOffset64 }
-
-func (h *ckHash) bytes(p []byte) {
-	x := uint64(*h)
-	for _, b := range p {
-		x ^= uint64(b)
-		x *= fnvPrime64
-	}
-	*h = ckHash(x)
-}
-
-func (h *ckHash) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.bytes(b[:])
-}
-
-func (h *ckHash) i64(v int64) { h.u64(uint64(v)) }
-
-func (h *ckHash) flag(b bool) {
-	if b {
-		h.u64(1)
-	} else {
-		h.u64(0)
-	}
-}
-
-func (h *ckHash) sum() uint64 { return uint64(*h) }
-
 // hashCircuit fingerprints the circuit through its canonical bench
 // rendering.
 func hashCircuit(c *netlist.Circuit) uint64 {
-	var h ckHash
-	h.init()
-	h.bytes([]byte(netlist.BenchString(c)))
-	return h.sum()
+	return frame.NewFNV().Str(netlist.BenchString(c)).Sum()
 }
 
 // hashFaults fingerprints the target fault list, order included (the
 // decision log is positional).
 func hashFaults(faults []fault.Fault) uint64 {
-	var h ckHash
-	h.init()
-	h.i64(int64(len(faults)))
+	h := frame.NewFNV().U64(uint64(len(faults)))
 	for _, f := range faults {
-		h.i64(int64(f.Node))
-		h.i64(int64(f.Pin))
-		h.u64(uint64(f.SA))
+		h = h.U64(uint64(f.Node)).U64(uint64(f.Pin)).U64(uint64(f.SA))
 	}
-	return h.sum()
+	return h.Sum()
 }
 
 // hashOptions fingerprints the result-affecting options. Workers and
@@ -575,22 +459,29 @@ func hashFaults(faults []fault.Fault) uint64 {
 // result-neutral, so a checkpoint taken at one worker count or cadence
 // resumes at any other.
 func hashOptions(opt Options) uint64 {
-	var h ckHash
-	h.init()
-	h.i64(int64(opt.MaxFrames))
-	h.i64(int64(opt.MaxBacktracks))
-	h.i64(opt.MaxEvalsPerFault)
-	h.i64(opt.MaxEvalsTotal)
-	h.flag(opt.GuidedBacktrace)
-	h.u64(uint64(opt.FillValue))
-	h.flag(opt.RandomPhase)
-	h.i64(int64(opt.RandomLength))
-	h.i64(int64(opt.RandomCount))
-	h.i64(opt.RandomSeed)
-	h.flag(opt.IdentifyRedundant)
-	h.flag(opt.SyncSeed)
-	h.flag(opt.fullResim)
-	return h.sum()
+	return frame.NewFNV().
+		U64(uint64(opt.MaxFrames)).
+		U64(uint64(opt.MaxBacktracks)).
+		U64(uint64(opt.MaxEvalsPerFault)).
+		U64(uint64(opt.MaxEvalsTotal)).
+		U64(flag(opt.GuidedBacktrace)).
+		U64(uint64(opt.FillValue)).
+		U64(flag(opt.RandomPhase)).
+		U64(uint64(opt.RandomLength)).
+		U64(uint64(opt.RandomCount)).
+		U64(uint64(opt.RandomSeed)).
+		U64(flag(opt.IdentifyRedundant)).
+		U64(flag(opt.SyncSeed)).
+		U64(flag(opt.fullResim)).
+		Sum()
+}
+
+// flag hashes a bool as a 0/1 word.
+func flag(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // appendPackedSeq packs a test sequence at 2 bits per logic value
@@ -613,112 +504,31 @@ func appendPackedSeq(buf []byte, seq sim.Seq) []byte {
 	return buf
 }
 
-// ckReader is a bounds- and canonicality-checked decoder over one
-// encoded checkpoint body. Every accessor is a no-op once an error is
-// latched; callers test ok() at the end.
-type ckReader struct {
-	data []byte
-	pos  int
-	bad  bool
-}
-
-func (r *ckReader) ok() bool { return !r.bad }
-
-func (r *ckReader) fail() uint64 {
-	r.bad = true
-	return 0
-}
-
-func (r *ckReader) byte() uint8 {
-	if r.bad || r.pos >= len(r.data) {
-		return uint8(r.fail())
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b
-}
-
-func (r *ckReader) fixed64() uint64 {
-	if r.bad || r.pos+8 > len(r.data) {
-		return r.fail()
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.pos:])
-	r.pos += 8
-	return v
-}
-
-// uvarintMax reads a canonical (minimal-length) unsigned varint no
-// greater than max.
-func (r *ckReader) uvarintMax(max uint64) uint64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 || n != uvarintLen(v) || v > max {
-		return r.fail()
-	}
-	r.pos += n
-	return v
-}
-
-// varintMin reads a canonical signed varint no less than min (and no
-// greater than 1<<31).
-func (r *ckReader) varintMin(min int) int64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.pos:])
-	ux := uint64(v) << 1
-	if v < 0 {
-		ux = ^ux
-	}
-	if n <= 0 || n != uvarintLen(ux) || v < int64(min) || v > 1<<31 {
-		return int64(r.fail())
-	}
-	r.pos += n
-	return v
-}
-
-// packedSeq reads frames x width 2-bit logic values, rejecting invalid
-// values and non-zero padding (both would break canonical round-trip).
-func (r *ckReader) packedSeq(frames, width int) sim.Seq {
-	if r.bad {
-		return nil
-	}
+// readPackedSeq reads frames x width 2-bit logic values, rejecting
+// invalid values and non-zero padding (both would break canonical
+// round-trip).
+func readPackedSeq(r *frame.Reader, frames, width int) sim.Seq {
 	total := frames * width
-	nbytes := (total + 3) / 4
-	if r.pos+nbytes > len(r.data) {
-		r.fail()
+	raw := r.Bytes((total + 3) / 4)
+	if !r.OK() {
 		return nil
 	}
-	raw := r.data[r.pos : r.pos+nbytes]
-	r.pos += nbytes
 	seq := make(sim.Seq, frames)
 	flat := make(sim.Vec, total)
 	for k := 0; k < total; k++ {
 		x := logic.V(raw[k/4] >> (2 * uint(k&3)) & 3)
 		if x > logic.X {
-			r.fail()
+			r.Fail()
 			return nil
 		}
 		flat[k] = x
 	}
-	if total&3 != 0 && raw[nbytes-1]>>(2*uint(total&3)) != 0 {
-		r.fail() // non-zero padding bits
+	if total&3 != 0 && raw[len(raw)-1]>>(2*uint(total&3)) != 0 {
+		r.Fail() // non-zero padding bits
 		return nil
 	}
 	for t := range seq {
 		seq[t] = flat[t*width : (t+1)*width : (t+1)*width]
 	}
 	return seq
-}
-
-// uvarintLen is the minimal encoded length of v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/failpoint"
 	"repro/internal/fault"
+	"repro/internal/frame"
 	"repro/internal/netlist"
 )
 
@@ -100,27 +101,14 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 // not corruption, so operators see the real cause.
 func TestCheckpointDecodeRejectsFutureVersion(t *testing.T) {
 	_, snaps := capturedRun(t, netlist.Fig5N1(), checkpointOptions())
-	data := append([]byte(nil), snaps[0]...)
-	data[len(checkpointMagic)] = 99 // version field, little-endian low byte
-	body := data[:len(data)-8]
-	var h ckHash
-	h.init()
-	h.bytes(body)
-	fixed := append(body, 0, 0, 0, 0, 0, 0, 0, 0)
-	for i, b := range encodeU64(h.sum()) {
-		fixed[len(body)+i] = b
+	_, body, err := frame.Open(snaps[0], checkpointMagic)
+	if err != nil {
+		t.Fatal(err)
 	}
+	fixed := frame.Seal(checkpointMagic, 99, body)
 	if _, err := DecodeCheckpoint(fixed); !errors.Is(err, ErrCheckpointVersion) {
 		t.Fatalf("future version: %v", err)
 	}
-}
-
-func encodeU64(v uint64) []byte {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * uint(i)))
-	}
-	return b
 }
 
 func TestCheckpointValidate(t *testing.T) {

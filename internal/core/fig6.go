@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
-	"os"
 
 	"repro/internal/atpg"
 	"repro/internal/fault"
 	"repro/internal/fsim"
+	"repro/internal/iofault"
 	"repro/internal/netlist"
 	"repro/internal/retime"
 	"repro/internal/sim"
@@ -75,8 +75,7 @@ func Fig6FlowContext(ctx context.Context, impl *netlist.Circuit, opt atpg.Option
 	atpg.TryResume(&opt, pair.Original, easyFaults)
 	res, err := atpg.RunContext(ctx, pair.Original, easyFaults, opt)
 	if errors.Is(err, atpg.ErrCheckpointMismatch) && opt.Checkpoint.Path != "" {
-		os.Remove(opt.Checkpoint.Path)
-		os.Remove(opt.Checkpoint.Path + ".tmp")
+		iofault.Discard(opt.Checkpoint.Path)
 		opt.Checkpoint.ResumeFrom = nil
 		res, err = atpg.RunContext(ctx, pair.Original, easyFaults, opt)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
+	"repro/internal/retry"
 )
 
 // Config tunes a Dispatcher. The zero value of every field is a usable
@@ -73,14 +74,15 @@ type Dispatcher struct {
 	cfg      Config
 	backends []*backendState
 	next     atomic.Uint64 // round-robin cursor
-
-	mu  sync.Mutex // guards rng
-	rng *splitMix
+	jit      *retry.Jitter
 }
 
+// backendState pairs a backend with its consecutive-failure breaker:
+// shard failures and missed heartbeats both feed it, and pick stops
+// routing work to the backend while it is open.
 type backendState struct {
 	b  Backend
-	br *breaker
+	br *retry.Breaker
 }
 
 // New returns a Dispatcher over cfg.Backends.
@@ -113,11 +115,11 @@ func New(cfg Config) *Dispatcher {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	d := &Dispatcher{cfg: cfg, rng: newSplitMix(uint64(seed))}
+	d := &Dispatcher{cfg: cfg, jit: retry.NewJitter(seed)}
 	for _, b := range cfg.Backends {
 		d.backends = append(d.backends, &backendState{
 			b:  b,
-			br: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			br: retry.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		})
 	}
 	return d
@@ -144,10 +146,11 @@ func (d *Dispatcher) logf(format string, args ...any) {
 	}
 }
 
+// jitter is the delay before a shard's retry number attempt: the capped
+// exponential ladder spread over [d/2, d], so simultaneous shard
+// failures do not thunder-herd the surviving backends.
 func (d *Dispatcher) jitter(attempt int) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return backoffDelay(d.cfg.RetryBackoff, d.cfg.RetryBackoffCap, attempt, d.rng)
+	return d.jit.Spread(retry.Backoff(d.cfg.RetryBackoff, d.cfg.RetryBackoffCap, attempt))
 }
 
 // pick returns a backend whose breaker currently allows work, scanning
@@ -160,7 +163,7 @@ func (d *Dispatcher) pick(now time.Time) *backendState {
 	start := int(d.next.Add(1) - 1)
 	for i := 0; i < n; i++ {
 		bs := d.backends[(start+i)%n]
-		if bs.br.allow(now) {
+		if bs.br.Allow(now) {
 			return bs
 		}
 	}
@@ -340,7 +343,7 @@ func (d *Dispatcher) startHeartbeats(ctx context.Context) func() {
 					return
 				}
 				if err != nil {
-					if bs.br.failure(time.Now()) {
+					if bs.br.Failure(time.Now()) {
 						d.count("dispatch.breaker_open")
 						d.logf("dispatch: breaker open for %s (heartbeat: %v)", bs.b.Name(), err)
 					}
@@ -395,13 +398,13 @@ func (d *Dispatcher) runShard(ctx context.Context, c *netlist.Circuit, bench str
 		}
 		log, err := d.attempt(ctx, bs, spec, sh)
 		if err == nil {
-			bs.br.success()
+			bs.br.Success()
 			return log, nil
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if bs.br.failure(time.Now()) {
+		if bs.br.Failure(time.Now()) {
 			d.count("dispatch.breaker_open")
 			d.logf("dispatch: breaker open for %s (%v)", bs.b.Name(), err)
 		}

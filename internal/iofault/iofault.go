@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"syscall"
 
 	"repro/internal/failpoint"
@@ -149,20 +150,50 @@ func (f *File) Sync() error {
 // Close closes the underlying file.
 func (f *File) Close() error { return f.f.Close() }
 
-// WriteFile is os.WriteFile behind the site's open/write failpoints: a
-// torn write leaves the partial bytes in place, exactly like the real
-// crash it models.
-func WriteFile(site, name string, data []byte, perm os.FileMode) error {
-	f, err := OpenFile(site, name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, perm)
+// WriteAtomic durably replaces path with data, the one tmp+rename
+// writer behind every durable file in this repository: write
+// path+".tmp", fsync, close, rename over path, and -- when syncDir --
+// fsync the directory so the rename itself survives a crash. Every
+// step goes through the site's failpoints. A failed write or sync
+// removes its torn tmp; a failed rename leaves the complete tmp behind,
+// exactly what a crash at that point leaves. path itself is never torn:
+// it holds either its previous content or data.
+func WriteAtomic(site, path string, data []byte, syncDir bool) error {
+	tmp := path + ".tmp"
+	f, err := OpenFile(site, tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	return cerr
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := Rename(site, tmp, path); err != nil {
+		return err
+	}
+	if syncDir {
+		// Best-effort: a lost rename merely resurfaces the previous file.
+		if d, err := os.Open(filepath.Dir(path)); err == nil {
+			d.Sync()
+			d.Close()
+		}
+	}
+	return nil
+}
+
+// Discard deletes path and any .tmp residue an interrupted WriteAtomic
+// left beside it.
+func Discard(path string) {
+	os.Remove(path)
+	os.Remove(path + ".tmp")
 }
 
 // ReadFile is os.ReadFile behind the site's read failpoint.

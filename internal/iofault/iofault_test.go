@@ -46,12 +46,84 @@ func TestUninstrumentedRoundTrip(t *testing.T) {
 	if err != nil || string(b) != "hello" {
 		t.Fatalf("ReadFile = %q, %v", b, err)
 	}
-	if err := WriteFile("test", final, []byte("bye"), 0o644); err != nil {
+	if err := WriteAtomic("test", final, []byte("bye"), true); err != nil {
 		t.Fatal(err)
 	}
 	b, err = os.ReadFile(final)
 	if err != nil || string(b) != "bye" {
-		t.Fatalf("after WriteFile: %q, %v", b, err)
+		t.Fatalf("after WriteAtomic: %q, %v", b, err)
+	}
+	if _, err := os.Stat(final + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("WriteAtomic left its tmp behind: %v", err)
+	}
+}
+
+// writeFile writes data to path in place through the site's open and
+// write points, leaving torn bytes exactly where a torn write put them.
+func writeFile(site, path string, data []byte) error {
+	f, err := OpenFile(site, path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = f.Write(data)
+	return err
+}
+
+// TestWriteAtomicNeverTearsPath: whichever step fails, path keeps its
+// previous content; a torn write or failed sync scrubs its tmp, a
+// failed rename leaves the complete tmp (what a crash there leaves).
+func TestWriteAtomicNeverTearsPath(t *testing.T) {
+	for _, tc := range []struct {
+		op      string
+		action  func() error
+		want    error
+		tmpLeft string // expected tmp content; "" = no tmp
+	}{
+		{OpOpen, NoSpace(), ErrNoSpace, ""},
+		{OpWrite, PartialWrite(2, nil), ErrIO, ""},
+		{OpSync, IOError(), ErrIO, ""},
+		{OpRename, NoSpace(), ErrNoSpace, "new"},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "f")
+			if err := WriteAtomic("t", path, []byte("old"), false); err != nil {
+				t.Fatal(err)
+			}
+			failpoint.Enable(Point("t", tc.op), tc.action)
+			defer failpoint.DisableAll()
+			if err := WriteAtomic("t", path, []byte("new"), true); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if b, err := os.ReadFile(path); err != nil || string(b) != "old" {
+				t.Fatalf("path after failed %s = %q, %v; want the previous content", tc.op, b, err)
+			}
+			b, err := os.ReadFile(path + ".tmp")
+			if tc.tmpLeft == "" && !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("tmp after failed %s = %q, %v; want none", tc.op, b, err)
+			}
+			if tc.tmpLeft != "" && string(b) != tc.tmpLeft {
+				t.Fatalf("tmp after failed %s = %q, %v; want %q", tc.op, b, err, tc.tmpLeft)
+			}
+		})
+	}
+}
+
+// TestDiscardRemovesTmpResidue: Discard removes the file and its tmp,
+// and is a no-op on paths that do not exist.
+func TestDiscardRemovesTmpResidue(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	for _, p := range []string{path, path + ".tmp"} {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	Discard(path)
+	Discard(path)
+	for _, p := range []string{path, path + ".tmp"} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s survived Discard: %v", p, err)
+		}
 	}
 }
 
@@ -75,7 +147,7 @@ func TestInjectedFaults(t *testing.T) {
 			return err
 		}},
 		{OpWrite, NoSpace(), ErrNoSpace, func() error {
-			return WriteFile("t", path, []byte("zz"), 0o644)
+			return writeFile("t", path, []byte("zz"))
 		}},
 		{OpSync, IOError(), ErrIO, func() error {
 			f, err := OpenFile("t", path, os.O_WRONLY, 0o644)
@@ -118,7 +190,7 @@ func TestPartialWriteTears(t *testing.T) {
 	failpoint.Enable(Point("t", OpWrite), PartialWrite(3, nil))
 	defer failpoint.DisableAll()
 
-	err := WriteFile("t", path, []byte("abcdef"), 0o644)
+	err := writeFile("t", path, []byte("abcdef"))
 	if !errors.Is(err, ErrIO) {
 		t.Fatalf("torn write err = %v, want EIO", err)
 	}
@@ -151,7 +223,7 @@ func TestPartialWriteClamps(t *testing.T) {
 			path := filepath.Join(dir, tc.name)
 			failpoint.Enable(Point("t", OpWrite), PartialWrite(tc.n, ErrNoSpace))
 			defer failpoint.DisableAll()
-			if err := WriteFile("t", path, []byte("abcdef"), 0o644); !errors.Is(err, ErrNoSpace) {
+			if err := writeFile("t", path, []byte("abcdef")); !errors.Is(err, ErrNoSpace) {
 				t.Fatalf("err = %v, want ENOSPC", err)
 			}
 			b, _ := os.ReadFile(path)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/iofault"
 	"repro/internal/metrics"
+	"repro/internal/retry"
 )
 
 // breakerCache builds a disk-backed cache with a fast breaker and a
@@ -20,16 +21,15 @@ func breakerCache(t *testing.T, probeEvery time.Duration) (*Cache, *metrics.Regi
 	var logMu sync.Mutex
 	var log strings.Builder
 	c := New(Config{
-		Dir:               t.TempDir(),
-		Metrics:           reg,
-		DiskFailThreshold: 3,
-		DiskProbeEvery:    probeEvery,
+		Dir:     t.TempDir(),
+		Metrics: reg,
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
 			fmt.Fprintf(&log, format+"\n", args...)
 			logMu.Unlock()
 		},
 	})
+	c.store.br = retry.NewBreaker(diskFailThreshold, probeEvery)
 	t.Cleanup(failpoint.DisableAll)
 	return c, reg, &log, &logMu
 }
@@ -115,7 +115,8 @@ func TestDiskLoadErrorsFeedBreaker(t *testing.T) {
 	}
 
 	failpoint.Enable(iofault.Point(DiskIOFaultSite, iofault.OpRead), iofault.IOError())
-	other := New(Config{Dir: c.store.dir, Metrics: reg, DiskFailThreshold: 3, DiskProbeEvery: time.Hour})
+	other := New(Config{Dir: c.store.dir, Metrics: reg})
+	other.store.br = retry.NewBreaker(diskFailThreshold, time.Hour)
 	for i := 0; i < 3; i++ {
 		if _, _, ok := other.Get(k); ok {
 			t.Fatal("EIO read reported a hit")

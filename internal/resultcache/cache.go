@@ -12,10 +12,10 @@
 //   - a sharded in-memory LRU with byte-accounted capacity (the hot
 //     tier: lock per shard, O(1) get/put/evict);
 //   - an optional on-disk store (Config.Dir) holding one versioned,
-//     checksummed, atomically written entry file per key, following the
-//     ATPG checkpoint pattern: canonical binary encoding, FNV-1a
-//     trailer, tmp+fsync+rename writes, validate-or-discard on load, so
-//     crash residue can never poison a result;
+//     checksummed, atomically written entry file per key, on the same
+//     primitives as the ATPG checkpoint: a frame-sealed canonical
+//     binary encoding, iofault.WriteAtomic writes, validate-or-discard
+//     on load, so crash residue can never poison a result;
 //   - a single-flight layer (Do) so N concurrent identical submissions
 //     run the computation once and share its payload.
 //
@@ -32,9 +32,10 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"repro/internal/frame"
 	"repro/internal/metrics"
+	"repro/internal/retry"
 )
 
 // DefaultMaxBytes is the in-memory budget when Config.MaxBytes is 0.
@@ -114,11 +115,11 @@ func ParseKey(s string) (Key, bool) {
 // the engine-level options hash does not cover (job kind, retime mode,
 // prefix fill, raw test vectors, namespace tags).
 func ParamsHash(parts ...string) uint64 {
-	h := newFNV()
+	h := frame.NewFNV()
 	for _, p := range parts {
-		h = h.u64(uint64(len(p))).str(p)
+		h = h.U64(uint64(len(p))).Str(p)
 	}
-	return uint64(h)
+	return h.Sum()
 }
 
 // Source reports where a payload came from.
@@ -166,13 +167,6 @@ type Config struct {
 	// singleflight_shared,...} counters; a private registry is created
 	// when nil.
 	Metrics *metrics.Registry
-	// DiskFailThreshold is the number of consecutive disk IO errors
-	// that opens the disk tier's circuit breaker (default 3): the cache
-	// runs memory-only until a probe succeeds.
-	DiskFailThreshold int
-	// DiskProbeEvery is how often one IO attempt is let through while
-	// the breaker is open (default 5s).
-	DiskProbeEvery time.Duration
 	// Logf, when set, receives breaker transition records (tier
 	// disabled / recovered). The job service wires its logger's Warnf.
 	Logf func(format string, args ...any)
@@ -236,17 +230,9 @@ func New(cfg Config) *Cache {
 		c.shards[i].maxBytes = maxBytes / int64(n)
 	}
 	if cfg.Dir != "" {
-		threshold := cfg.DiskFailThreshold
-		if threshold <= 0 {
-			threshold = defaultDiskFailThreshold
-		}
-		probe := cfg.DiskProbeEvery
-		if probe <= 0 {
-			probe = defaultDiskProbeEvery
-		}
 		c.store = &diskStore{
 			dir: cfg.Dir, reg: reg, logf: cfg.Logf,
-			threshold: threshold, probeEvery: probe,
+			br: retry.NewBreaker(diskFailThreshold, diskProbeEvery),
 		}
 	}
 	return c
@@ -460,34 +446,4 @@ func (c *Cache) Sweep() int {
 		return 0
 	}
 	return c.store.sweep()
-}
-
-// fnv is inline FNV-1a/64 in value style, shared by ParamsHash and the
-// entry codec.
-type fnv uint64
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func newFNV() fnv { return fnvOffset64 }
-
-func (h fnv) bytes(p []byte) fnv {
-	x := uint64(h)
-	for _, b := range p {
-		x ^= uint64(b)
-		x *= fnvPrime64
-	}
-	return fnv(x)
-}
-
-func (h fnv) str(s string) fnv { return h.bytes([]byte(s)) }
-
-func (h fnv) u64(v uint64) fnv {
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
-	return h.bytes(b[:])
 }

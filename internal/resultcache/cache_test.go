@@ -12,15 +12,16 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/metrics"
 )
 
 func key(i int) Key {
 	// Spread the components like real identity hashes would.
 	return Key{
-		Circuit: uint64(newFNV().u64(uint64(i))),
-		Faults:  uint64(newFNV().u64(uint64(i * 31))),
-		Options: uint64(newFNV().str(fmt.Sprintf("opt-%d", i))),
+		Circuit: frame.NewFNV().U64(uint64(i)).Sum(),
+		Faults:  frame.NewFNV().U64(uint64(i * 31)).Sum(),
+		Options: frame.NewFNV().Str(fmt.Sprintf("opt-%d", i)).Sum(),
 	}
 }
 

@@ -4,13 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/iofault"
 	"repro/internal/metrics"
+	"repro/internal/retry"
 )
 
 // DiskIOFaultSite names the disk tier's iofault site: chaos tests arm
@@ -18,23 +20,21 @@ import (
 // writes with ENOSPC/EIO/torn writes.
 const DiskIOFaultSite = "cache"
 
-// Disk-tier circuit breaker defaults (Config.DiskFailThreshold /
-// DiskProbeEvery override them).
+// Disk-tier circuit breaker settings: this many consecutive IO errors
+// disable the tier, and a disabled tier is probed again once this
+// cooldown has passed.
 const (
-	defaultDiskFailThreshold = 3
-	defaultDiskProbeEvery    = 5 * time.Second
+	diskFailThreshold = 3
+	diskProbeEvery    = 5 * time.Second
 )
 
-// On-disk entry format, after the ATPG checkpoint pattern: a canonical
-// self-checksummed binary frame that either decodes to exactly what was
-// written or is discarded.
+// On-disk entry format: a frame (magic "RESCACHE", version, FNV-1a/64
+// trailer -- see package frame) that either decodes to exactly what
+// was written or is discarded, around the body
 //
-//	magic   "RESCACHE"                     8 bytes
-//	version uint32 LE                      4 bytes
 //	key     3 x uint64 LE                 24 bytes
 //	len     canonical uvarint
 //	payload len bytes
-//	sum     FNV-1a/64 over everything above, uint64 LE
 //
 // The encoding is canonical -- DecodeEntry accepts exactly the byte
 // strings Entry.Encode produces -- so decode+encode round-trips
@@ -66,16 +66,13 @@ type Entry struct {
 
 // Encode serializes the entry into its canonical checksummed form.
 func (e *Entry) Encode() []byte {
-	buf := make([]byte, 0, 64+len(e.Payload))
-	buf = append(buf, entryMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, EntryVersion)
+	buf := make([]byte, 0, 40+len(e.Payload))
 	buf = binary.LittleEndian.AppendUint64(buf, e.Key.Circuit)
 	buf = binary.LittleEndian.AppendUint64(buf, e.Key.Faults)
 	buf = binary.LittleEndian.AppendUint64(buf, e.Key.Options)
 	buf = binary.AppendUvarint(buf, uint64(len(e.Payload)))
 	buf = append(buf, e.Payload...)
-	sum := uint64(newFNV().bytes(buf))
-	return binary.LittleEndian.AppendUint64(buf, sum)
+	return frame.Seal(entryMagic, EntryVersion, buf)
 }
 
 // DecodeEntry parses an encoded entry. It never panics on arbitrary
@@ -84,73 +81,48 @@ func (e *Entry) Encode() []byte {
 // error wrapping ErrEntryCorrupt, except a valid frame with an unknown
 // version, which wraps ErrEntryVersion.
 func DecodeEntry(data []byte) (*Entry, error) {
-	headerLen := len(entryMagic) + 4 + 3*8
-	if len(data) < headerLen+1+8 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrEntryCorrupt, len(data))
+	v, body, err := frame.Open(data, entryMagic)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrEntryCorrupt, err)
 	}
-	if string(data[:len(entryMagic)]) != entryMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrEntryCorrupt)
-	}
-	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	if uint64(newFNV().bytes(body)) != binary.LittleEndian.Uint64(trailer) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrEntryCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(data[len(entryMagic):]); v != EntryVersion {
+	if v != EntryVersion {
 		return nil, fmt.Errorf("%w: file has version %d, this build reads %d",
 			ErrEntryVersion, v, EntryVersion)
 	}
+	r := frame.NewReader(body)
 	e := &Entry{}
-	pos := len(entryMagic) + 4
-	e.Key.Circuit = binary.LittleEndian.Uint64(body[pos:])
-	e.Key.Faults = binary.LittleEndian.Uint64(body[pos+8:])
-	e.Key.Options = binary.LittleEndian.Uint64(body[pos+16:])
-	pos += 24
-	n, vn := binary.Uvarint(body[pos:])
-	if vn <= 0 || vn != uvarintLen(n) {
-		return nil, fmt.Errorf("%w: non-canonical payload length", ErrEntryCorrupt)
+	e.Key.Circuit = r.Fixed64()
+	e.Key.Faults = r.Fixed64()
+	e.Key.Options = r.Fixed64()
+	n := r.Uvarint(math.MaxUint64)
+	if !r.OK() {
+		return nil, fmt.Errorf("%w: truncated or non-canonical payload length", ErrEntryCorrupt)
 	}
-	pos += vn
-	if uint64(len(body)-pos) != n {
+	if uint64(r.Remaining()) != n {
 		return nil, fmt.Errorf("%w: payload length %d, %d bytes remain",
-			ErrEntryCorrupt, n, len(body)-pos)
+			ErrEntryCorrupt, n, r.Remaining())
 	}
-	e.Payload = body[pos:]
+	e.Payload = r.Bytes(int(n))
 	return e, nil
-}
-
-// uvarintLen is the minimal encoded length of v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // diskStore is the durable tier: one entry file per key under dir,
 // written atomically and validated (or discarded) on every load.
 //
-// A circuit breaker guards every IO attempt: after threshold
+// A retry.Breaker guards every IO attempt: after diskFailThreshold
 // consecutive IO errors (reads and writes both count; a missing entry
 // file does not) the tier disables itself -- the memory tier and the
 // engines keep answering, loads miss, saves are skipped and counted as
-// cache.disk_skipped -- and one attempt per probeEvery is let through
-// as a probe. The first probe that succeeds re-enables the tier. The
-// cache.disk_degraded gauge tracks the breaker state, disk_errors /
-// disk_recovered count the transitions' raw material, so /metrics shows
-// a sick disk long before an operator reads logs.
+// cache.disk_skipped -- until the breaker's cooldown lets attempts
+// through again as probes. The first probe that succeeds re-enables the
+// tier. The cache.disk_degraded gauge tracks the breaker state,
+// disk_errors / disk_recovered count the transitions' raw material, so
+// /metrics shows a sick disk long before an operator reads logs.
 type diskStore struct {
 	dir  string
 	reg  *metrics.Registry
 	logf func(format string, args ...any) // nil = silent
-
-	mu         sync.Mutex
-	fails      int       // consecutive IO errors
-	disabled   bool      // breaker open
-	nextProbe  time.Time // earliest next attempt while open
-	threshold  int
-	probeEvery time.Duration
+	br   *retry.Breaker
 }
 
 // path names the entry file for a key.
@@ -158,52 +130,42 @@ func (d *diskStore) path(k Key) string {
 	return filepath.Join(d.dir, k.String()+entryExt)
 }
 
-// allowAttempt reports whether an IO attempt may proceed: always while
-// the breaker is closed, once per probeEvery while open. A denied
+// allowAttempt reports whether an IO attempt may proceed; a denied
 // attempt counts as cache.disk_skipped.
 func (d *diskStore) allowAttempt() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.disabled {
+	if d.br.Allow(time.Now()) {
 		return true
 	}
-	now := time.Now()
-	if now.Before(d.nextProbe) {
-		d.reg.Counter("cache.disk_skipped").Inc()
-		return false
-	}
-	d.nextProbe = now.Add(d.probeEvery)
-	return true
+	d.reg.Counter("cache.disk_skipped").Inc()
+	return false
 }
 
 // record feeds one attempt's outcome to the breaker. Decode failures
 // and missing files must not be reported here -- only real IO errors
 // open the breaker, only real IO successes close it.
 func (d *diskStore) record(op string, err error) {
-	var msg string
-	d.mu.Lock()
 	if err == nil {
-		if d.disabled {
-			d.disabled = false
+		if d.br.Success() {
 			d.reg.Counter("cache.disk_recovered").Inc()
 			d.reg.Gauge("cache.disk_degraded").Set(0)
-			msg = fmt.Sprintf("resultcache: disk tier recovered (probe %s ok)", op)
+			d.log("resultcache: disk tier recovered (probe %s ok)", op)
 		}
-		d.fails = 0
-	} else {
-		d.reg.Counter("cache.disk_errors").Inc()
-		d.fails++
-		if d.fails >= d.threshold && !d.disabled {
-			d.disabled = true
-			d.nextProbe = time.Now().Add(d.probeEvery)
-			d.reg.Gauge("cache.disk_degraded").Set(1)
-			msg = fmt.Sprintf("resultcache: disk tier disabled after %d consecutive IO errors (last %s: %v); probing every %s",
-				d.fails, op, err, d.probeEvery)
-		}
+		return
 	}
-	d.mu.Unlock()
-	if msg != "" && d.logf != nil {
-		d.logf("%s", msg)
+	d.reg.Counter("cache.disk_errors").Inc()
+	// A failed probe re-opens a breaker that was already disabled; only
+	// the first crossing is a transition worth reporting.
+	wasTripped := d.br.Tripped()
+	if d.br.Failure(time.Now()) && !wasTripped {
+		d.reg.Gauge("cache.disk_degraded").Set(1)
+		d.log("resultcache: disk tier disabled after %d consecutive IO errors (last %s: %v); probing every %s",
+			d.br.Threshold, op, err, d.br.Cooldown)
+	}
+}
+
+func (d *diskStore) log(format string, args ...any) {
+	if d.logf != nil {
+		d.logf(format, args...)
 	}
 }
 
@@ -233,60 +195,25 @@ func (d *diskStore) load(k Key) ([]byte, bool) {
 	return e.Payload, true
 }
 
-// save atomically persists the entry: encode, write to path+".tmp",
-// fsync, rename over path, best-effort directory fsync. A crash
-// mid-write leaves at worst a stale .tmp that the recovery sweep
+// save atomically persists the entry through iofault.WriteAtomic. A
+// crash mid-write leaves at worst a stale .tmp that the recovery sweep
 // removes; a failed write scrubs its own torn .tmp. Failures count as
 // cache.disk_errors and feed the breaker.
 func (d *diskStore) save(k Key, payload []byte) error {
 	if !d.allowAttempt() {
 		return nil // breaker open: silently memory-only, counted as skipped
 	}
-	err := d.saveIO(k, payload)
+	err := os.MkdirAll(d.dir, 0o755)
+	if err == nil {
+		err = iofault.WriteAtomic(DiskIOFaultSite, d.path(k), (&Entry{Key: k, Payload: payload}).Encode(), true)
+	}
 	d.record("write", err)
 	return err
 }
 
-// saveIO is the raw atomic write, breaker-free.
-func (d *diskStore) saveIO(k Key, payload []byte) error {
-	if err := os.MkdirAll(d.dir, 0o755); err != nil {
-		return err
-	}
-	data := (&Entry{Key: k, Payload: payload}).Encode()
-	path := d.path(k)
-	tmp := path + ".tmp"
-	f, err := iofault.OpenFile(DiskIOFaultSite, tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := iofault.Rename(DiskIOFaultSite, tmp, path); err != nil {
-		return err
-	}
-	if dir, err := os.Open(d.dir); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
-}
-
 // discard deletes the key's entry file and any torn-write residue.
 func (d *diskStore) discard(k Key) {
-	path := d.path(k)
-	os.Remove(path)
-	os.Remove(path + ".tmp")
+	iofault.Discard(d.path(k))
 	d.reg.Counter("cache.disk_discarded").Inc()
 }
 

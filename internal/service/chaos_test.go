@@ -251,7 +251,7 @@ func TestCrashRecovery(t *testing.T) {
 // next recovery fails it instead of re-queueing it a fourth time.
 func TestRecoveryGivesUpAfterMaxAttempts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
-	j, err := openJournal(path, false, 0, nil, nil)
+	j, err := openJournal(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRecoveryGivesUpAfterMaxAttempts(t *testing.T) {
 // it without another attempt.
 func TestRecoveryBackoff(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
-	j, err := openJournal(path, false, 0, nil, nil)
+	j, err := openJournal(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestCorruptCheckpointDiscarded(t *testing.T) {
 func TestOrphanCheckpointSweep(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "jobs.journal")
-	j, err := openJournal(path, false, 0, nil, nil)
+	j, err := openJournal(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

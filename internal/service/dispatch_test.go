@@ -10,6 +10,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
+	"repro/internal/retry"
 )
 
 // startWorkers launches n in-process shard workers over HTTP and
@@ -105,11 +106,11 @@ func TestNegativeBackendsRejected(t *testing.T) {
 }
 
 // TestRetryJitterSeeded pins the recovery-backoff jitter: a fixed
-// RetryJitterSeed reproduces the exact dispatch.NewJitter sequence,
-// and every draw stays inside [d/2, d].
+// RetryJitterSeed reproduces the exact retry.NewJitter sequence, and
+// every draw stays inside [d/2, d].
 func TestRetryJitterSeeded(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, RetryJitterSeed: 42})
-	want := dispatch.NewJitter(42)
+	want := retry.NewJitter(42)
 	base := 100 * time.Millisecond
 	for i := 0; i < 16; i++ {
 		got := s.jit.Spread(base)

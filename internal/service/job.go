@@ -280,6 +280,11 @@ type Job struct {
 	// run so Cancel can interrupt it mid-stage.
 	cancelRequested bool
 	cancel          context.CancelFunc
+	// submitted is held from enqueue until Submit has journaled the job,
+	// so a worker that dequeues it at once cannot journal its start
+	// ahead of its submit (replay drops events that precede their
+	// submit, which would lose the attempt count).
+	submitted sync.WaitGroup
 }
 
 // View is an immutable snapshot of a job, shaped for JSON.
@@ -448,14 +453,13 @@ func (j *Job) cancelPending() bool {
 	return j.cancelRequested && !j.status.Terminal()
 }
 
-// finish moves the job to its terminal state: done on nil error,
+// finishLocked moves the job to its terminal state: done on nil error,
 // cancelled when cancellation was requested and the run unwound with
 // context.Canceled, failed otherwise. The returned changed flag is
-// false when the job was already terminal (finish is then a no-op), so
+// false when the job was already terminal (it is then a no-op), so
 // callers never double-count metrics or double-journal transitions.
-func (j *Job) finish(res *Result, err error) (status Status, dur time.Duration, changed bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// The caller holds j.mu.
+func (j *Job) finishLocked(res *Result, err error) (status Status, dur time.Duration, changed bool) {
 	if j.status.Terminal() {
 		return j.status, 0, false
 	}

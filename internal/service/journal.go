@@ -15,6 +15,7 @@ import (
 	"repro/internal/iofault"
 	"repro/internal/logger"
 	"repro/internal/metrics"
+	"repro/internal/retry"
 )
 
 // The job journal is an append-only JSON-lines file recording every job
@@ -58,9 +59,12 @@ const (
 // ENOSPC/EIO/torn writes.
 const journalIOFaultSite = "journal"
 
-// defaultJournalProbeEvery is how often a degraded journal re-probes
-// the disk when Config.JournalProbeEvery is unset.
-const defaultJournalProbeEvery = 2 * time.Second
+// Journal breaker settings: the first failed write opens it, and a
+// degraded journal re-probes the disk this often.
+const (
+	journalFailThreshold = 1
+	journalProbeEvery    = 2 * time.Second
+)
 
 // journalEntry is one line of the journal.
 type journalEntry struct {
@@ -80,44 +84,41 @@ type journalEntry struct {
 // never interleave; each entry is one marshal + one write, optionally
 // followed by an fsync.
 //
-// Journal IO failures degrade durability, never availability. The
-// first failed write flips the journal into degraded (memory-only)
-// mode: jobs keep running and their in-memory state stays correct, but
+// Journal IO failures degrade durability, never availability. A
+// retry.Breaker (threshold 1) guards the disk: the first failed write
+// opens it and flips the journal into degraded (memory-only) mode --
+// jobs keep running and their in-memory state stays correct, but
 // lifecycle entries are dropped (counted as journal.dropped_entries)
 // instead of being retried on every transition against a disk that is
-// plainly sick. Once per probeEvery an append doubles as a probe: the
-// file handle is reopened (a stale fd does not outlive a remount) and
-// a lone newline is written first, terminating whatever torn line the
-// original failure left so replay's skip-bad-lines tolerance contains
-// the damage to that one line. The first probe that succeeds drops
-// back to durable mode (journal.recovered). The journal.degraded gauge
-// tracks the state for /metrics.
+// plainly sick. Once the breaker's cooldown elapses an append doubles
+// as a probe: the file handle is reopened (a stale fd does not outlive
+// a remount) and a lone newline is written first, terminating whatever
+// torn line the original failure left so replay's skip-bad-lines
+// tolerance contains the damage to that one line. The first probe that
+// succeeds closes the breaker and drops back to durable mode
+// (journal.recovered). The journal.degraded gauge tracks the state for
+// /metrics.
 type journal struct {
-	mu   sync.Mutex
-	f    *iofault.File
-	path string
-	sync bool
-	reg  *metrics.Registry
-	log  *logger.Logger // nil-safe
-
-	degraded   bool
-	probeEvery time.Duration
-	lastProbe  time.Time
-	dropped    int64 // entries lost while degraded (also a counter)
+	mu      sync.Mutex
+	f       *iofault.File
+	path    string
+	sync    bool
+	reg     *metrics.Registry
+	log     *logger.Logger // nil-safe
+	br      *retry.Breaker
+	dropped int64 // entries lost while degraded (also a counter)
 }
 
-func openJournal(path string, syncEach bool, probeEvery time.Duration, reg *metrics.Registry, log *logger.Logger) (*journal, error) {
+func openJournal(path string, syncEach bool, reg *metrics.Registry, log *logger.Logger) (*journal, error) {
 	f, err := iofault.OpenFile(journalIOFaultSite, path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("service: open journal: %w", err)
 	}
-	if probeEvery <= 0 {
-		probeEvery = defaultJournalProbeEvery
-	}
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &journal{f: f, path: path, sync: syncEach, reg: reg, log: log, probeEvery: probeEvery}, nil
+	return &journal{f: f, path: path, sync: syncEach, reg: reg, log: log,
+		br: retry.NewBreaker(journalFailThreshold, journalProbeEvery)}, nil
 }
 
 // append commits one entry. A failpoint-injected error at before-write
@@ -140,11 +141,15 @@ func (j *journal) append(e journalEntry) error {
 	b = append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.degraded {
-		return j.appendDegraded(e, b)
+	if j.br.Tripped() {
+		j.probe(e, b)
+		return nil
 	}
 	if err := j.write(b); err != nil {
-		j.degrade(e, err)
+		j.br.Failure(time.Now())
+		j.reg.Gauge("journal.degraded").Set(1)
+		j.log.Warnf("id=%s job=%s journal degraded (memory-only): %s write failed: %v; re-probing every %s",
+			e.ReqID, e.ID, e.Event, err, j.br.Cooldown)
 		return fmt.Errorf("service: write journal: %w", err)
 	}
 	return failpoint.Inject(fpJournalAfterWrite)
@@ -162,31 +167,20 @@ func (j *journal) write(b []byte) error {
 	return nil
 }
 
-// degrade flips to memory-only mode. Caller holds mu.
-func (j *journal) degrade(e journalEntry, err error) {
-	j.degraded = true
-	j.lastProbe = time.Now()
-	j.reg.Gauge("journal.degraded").Set(1)
-	j.log.Warnf("id=%s job=%s journal degraded (memory-only): %s write failed: %v; re-probing every %s",
-		e.ReqID, e.ID, e.Event, err, j.probeEvery)
-}
-
-// appendDegraded drops the entry unless a probe is due; a due probe
-// reopens the file, repairs any torn tail, and writes the entry for
-// real. Caller holds mu.
-func (j *journal) appendDegraded(e journalEntry, b []byte) error {
+// probe runs a degraded append: the entry is dropped unless the
+// breaker lets a probe through, in which case the file is reopened, any
+// torn tail repaired, and the entry written for real. Caller holds mu.
+func (j *journal) probe(e journalEntry, b []byte) {
 	now := time.Now()
-	if now.Sub(j.lastProbe) < j.probeEvery {
-		j.dropped++
-		j.reg.Counter("journal.dropped_entries").Inc()
-		return nil
+	if !j.br.Allow(now) {
+		j.drop()
+		return
 	}
-	j.lastProbe = now
 	f, err := iofault.OpenFile(journalIOFaultSite, j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		j.dropped++
-		j.reg.Counter("journal.dropped_entries").Inc()
-		return nil
+		j.br.Failure(now)
+		j.drop()
+		return
 	}
 	old := j.f
 	j.f = f
@@ -200,18 +194,23 @@ func (j *journal) appendDegraded(e journalEntry, b []byte) error {
 	if werr != nil {
 		j.f = old
 		f.Close()
-		j.dropped++
-		j.reg.Counter("journal.dropped_entries").Inc()
-		return nil
+		j.br.Failure(now)
+		j.drop()
+		return
 	}
 	old.Close()
-	j.degraded = false
+	j.br.Success()
 	j.reg.Gauge("journal.degraded").Set(0)
 	j.reg.Counter("journal.recovered").Inc()
 	j.log.Warnf("id=%s job=%s journal recovered to durable mode; %d entries dropped while degraded",
 		e.ReqID, e.ID, j.dropped)
 	j.dropped = 0
-	return nil
+}
+
+// drop counts an entry lost while degraded. Caller holds mu.
+func (j *journal) drop() {
+	j.dropped++
+	j.reg.Counter("journal.dropped_entries").Inc()
 }
 
 func (j *journal) Close() error {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/iofault"
 	"repro/internal/metrics"
+	"repro/internal/retry"
 )
 
 // TestJournalDegradedModeAndRecovery: a torn journal write flips the
@@ -23,11 +24,12 @@ func TestJournalDegradedModeAndRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	reg := metrics.NewRegistry()
 	const probe = 40 * time.Millisecond
-	j, err := openJournal(path, false, probe, reg, nil)
+	j, err := openJournal(path, false, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
+	j.br = retry.NewBreaker(journalFailThreshold, probe)
 
 	req := quickRequest()
 	if err := j.append(journalEntry{Event: evSubmit, ID: "job-000001", Req: &req}); err != nil {
@@ -98,11 +100,12 @@ func TestJournalDegradeOnENOSPC(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	reg := metrics.NewRegistry()
-	j, err := openJournal(path, true, time.Nanosecond, reg, nil)
+	j, err := openJournal(path, true, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
+	j.br = retry.NewBreaker(journalFailThreshold, time.Nanosecond)
 
 	req := quickRequest()
 	if err := j.append(journalEntry{Event: evSubmit, ID: "job-000001", Req: &req}); err != nil {
@@ -114,7 +117,7 @@ func TestJournalDegradeOnENOSPC(t *testing.T) {
 	}
 	failpoint.DisableAll()
 
-	// probeEvery=1ns: the very next append is a probe and recovers.
+	// 1ns cooldown: the very next append is a probe and recovers.
 	if err := j.append(journalEntry{Event: evCancelled, ID: "job-000001"}); err != nil {
 		t.Fatal(err)
 	}

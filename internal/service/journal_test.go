@@ -10,7 +10,7 @@ import (
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
-	j, err := openJournal(path, true, 0, nil, nil)
+	j, err := openJournal(path, true, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

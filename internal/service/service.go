@@ -30,9 +30,11 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/failpoint"
 	"repro/internal/httpmw"
+	"repro/internal/iofault"
 	"repro/internal/logger"
 	"repro/internal/metrics"
 	"repro/internal/resultcache"
+	"repro/internal/retry"
 )
 
 // Config tunes a Service. Zero values pick sensible defaults.
@@ -58,10 +60,6 @@ type Config struct {
 	// SyncJournal fsyncs the journal after every entry. Off by default:
 	// the write-behind window is one OS page cache flush.
 	SyncJournal bool
-	// JournalProbeEvery is how often a degraded (memory-only) journal
-	// re-probes the disk for recovery; default 2s. Journal write
-	// failures never stop jobs -- see journal.go's degraded mode.
-	JournalProbeEvery time.Duration
 	// MaxAttempts bounds how many times a job may be started across
 	// crashes before recovery gives up and fails it; default 3.
 	MaxAttempts int
@@ -152,9 +150,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = atpg.DefaultCheckpointEvery
 	}
-	if c.JournalProbeEvery <= 0 {
-		c.JournalProbeEvery = defaultJournalProbeEvery
-	}
 	if c.WatchdogWindow > 0 && c.WatchdogPoll <= 0 {
 		c.WatchdogPoll = c.WatchdogWindow / 4
 		if c.WatchdogPoll < 10*time.Millisecond {
@@ -189,7 +184,7 @@ type Service struct {
 	jrnl  *journal
 	cache *resultcache.Cache
 	disp  *dispatch.Dispatcher // nil without configured backends
-	jit   *dispatch.Jitter     // recovery retry backoff jitter
+	jit   *retry.Jitter        // recovery retry backoff jitter
 
 	// attempts tracks every compute goroutine runJob starts, including
 	// ones a stalled attempt abandoned; shutdown joins them so none
@@ -235,7 +230,7 @@ func Open(cfg Config) (*Service, error) {
 		log:    cfg.Logger,
 		base:   base,
 		stop:   stop,
-		jit:    dispatch.NewJitter(seed),
+		jit:    retry.NewJitter(seed),
 		jobs:   make(map[string]*Job),
 		timers: make(map[string]*time.Timer),
 		done:   make(chan struct{}),
@@ -320,7 +315,7 @@ func (s *Service) recover(path string) (requeue []*Job, backoffs []time.Duration
 		replayed, maxID, skipped = replayJournal(f)
 		f.Close()
 	}
-	s.jrnl, err = openJournal(path, s.cfg.SyncJournal, s.cfg.JournalProbeEvery, s.reg, s.log)
+	s.jrnl, err = openJournal(path, s.cfg.SyncJournal, s.reg, s.log)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -355,13 +350,9 @@ func (s *Service) recover(path string) (requeue []*Job, backoffs []time.Duration
 		// backoff, since they may be what killed it.
 		var delay time.Duration
 		if r.Attempt > 0 {
-			delay = s.cfg.RetryBackoff << (r.Attempt - 1)
-			if delay > s.cfg.RetryBackoffCap || delay <= 0 {
-				delay = s.cfg.RetryBackoffCap
-			}
 			// Jitter over [delay/2, delay]: recovered jobs that crashed
 			// together should not all re-fire on the same tick.
-			delay = s.jit.Spread(delay)
+			delay = s.jit.Spread(retry.Backoff(s.cfg.RetryBackoff, s.cfg.RetryBackoffCap, r.Attempt))
 		}
 		backoffs = append(backoffs, delay)
 	}
@@ -421,8 +412,7 @@ func (s *Service) discardCheckpoint(path string) {
 	if path == "" {
 		return
 	}
-	os.Remove(path)
-	os.Remove(path + ".tmp")
+	iofault.Discard(path)
 	s.reg.Counter("atpg.checkpoint.discarded").Inc()
 }
 
@@ -438,8 +428,7 @@ func (s *Service) removeCheckpoint(id string) {
 	if failpoint.Inject("service.checkpoint.before-remove") != nil {
 		return
 	}
-	os.Remove(path)
-	os.Remove(path + ".tmp")
+	iofault.Discard(path)
 }
 
 // sweepCheckpoints runs at recovery, after the journal replay settled
@@ -539,6 +528,7 @@ func (s *Service) SubmitWithRequestID(req Request, reqID string) (string, error)
 		status:  StatusQueued,
 		created: time.Now(),
 	}
+	j.submitted.Add(1)
 	select {
 	case s.queue <- j:
 	default:
@@ -549,6 +539,7 @@ func (s *Service) SubmitWithRequestID(req Request, reqID string) (string, error)
 	s.jobs[j.id] = j
 	s.mu.Unlock()
 	s.journalAppend(journalEntry{Event: evSubmit, ID: j.id, Req: &j.req, ReqID: reqID})
+	j.submitted.Done()
 	s.log.Infof("id=%s job=%s submitted kind=%s", reqID, j.id, req.Kind)
 	s.reg.Counter("jobs.submitted." + string(req.Kind)).Inc()
 	s.reg.Gauge("queue.depth").Add(1)
@@ -768,6 +759,7 @@ func (s *Service) runJob(j *Job) {
 	defer cancel()
 	ctx = contextWithJob(ctx, j)
 
+	j.submitted.Wait()
 	if !j.begin(cancel) {
 		// Cancelled while queued: retire without running.
 		s.finishJob(j, nil, context.Canceled)
@@ -825,14 +817,19 @@ func (s *Service) runJob(j *Job) {
 	}
 }
 
-// finishJob retires a job: terminal status, metrics, journal entry.
-// Safe to call twice (the second call is a no-op) and with a nil job.
+// finishJob retires a job: terminal status, metrics, journal entry,
+// checkpoint cleanup. The job's lock is held until the journal entry
+// and the cleanup are done, so a poller never sees a terminal job whose
+// retirement is still pending. Safe to call twice (the second call is a
+// no-op) and with a nil job.
 func (s *Service) finishJob(j *Job, res *Result, err error) {
 	if j == nil {
 		return
 	}
-	status, dur, changed := j.finish(res, err)
+	j.mu.Lock()
+	status, dur, changed := j.finishLocked(res, err)
 	if !changed {
+		j.mu.Unlock()
 		return
 	}
 	kind := string(j.req.Kind)
@@ -850,6 +847,7 @@ func (s *Service) finishJob(j *Job, res *Result, err error) {
 	// A job that reached a terminal state will never resume; its
 	// checkpoint (if any) is dead weight.
 	s.removeCheckpoint(j.id)
+	j.mu.Unlock()
 	s.reg.Histogram("jobs.latency." + kind).Observe(dur)
 	// The kind-agnostic aggregate feeds the RetryAfter backlog estimate.
 	s.reg.Histogram("jobs.latency").Observe(dur)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"repro/internal/retry"
 )
 
 // The stuck-progress watchdog catches the failure the deadline cannot:
@@ -99,11 +101,7 @@ func (s *Service) requeueOrFail(j *Job) {
 			attempt, s.cfg.MaxAttempts, s.cfg.WatchdogWindow))
 		return
 	}
-	delay := s.cfg.RetryBackoff << (attempt - 1)
-	if delay > s.cfg.RetryBackoffCap || delay <= 0 {
-		delay = s.cfg.RetryBackoffCap
-	}
-	delay = s.jit.Spread(delay)
+	delay := s.jit.Spread(retry.Backoff(s.cfg.RetryBackoff, s.cfg.RetryBackoffCap, attempt))
 	s.reg.Counter("service.watchdog.requeued").Inc()
 	s.log.Warnf("id=%s job=%s attempt=%d stalled; requeued with %s backoff",
 		j.reqID, j.id, attempt, delay.Round(time.Millisecond))

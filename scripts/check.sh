@@ -18,8 +18,14 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== go vet (benchmark module: it builds against internal APIs)"
+# benchmarks/e2e is its own module calling resultcache.New, dispatch.New
+# and service.Open; vetting it catches an internal API change that would
+# break the benchmark's build.
+(cd benchmarks/e2e && go vet .)
+
 echo "== go test -race (concurrency-heavy packages, fail fast)"
-go test -race -count=1 ./internal/fsim/... ./internal/service/... ./internal/failpoint/... ./cmd/servd/... ./internal/resultcache/... ./internal/httpmw/... ./internal/logger/... ./internal/metrics/...
+go test -race -count=1 ./internal/fsim/... ./internal/service/... ./internal/failpoint/... ./cmd/servd/... ./internal/resultcache/... ./internal/httpmw/... ./internal/logger/... ./internal/metrics/... ./internal/retry/... ./internal/frame/...
 
 echo "== go test -race (result cache: hit/miss byte-identity, corrupt-entry discard, single-flight)"
 # The cache round-trip gate: a repeat submission is served byte-identical
@@ -57,15 +63,17 @@ echo "== go test -race (iofault chaos: ENOSPC/EIO/torn writes at journal, checkp
 # fails and the job must still complete byte-identical to a fault-free
 # run while the site's degraded signal (journal.degraded,
 # atpg.checkpoint.errors, cache.disk_errors) fires.
-go test -race -count=1 -run 'TestDurabilityFaultsNeverFailJobs|TestJournalDegraded|TestDiskBreaker|TestInjectedFaults|TestPartialWrite' \
+go test -race -count=1 -run 'TestDurabilityFaultsNeverFailJobs|TestJournalDegraded|TestDiskBreaker|TestInjectedFaults|TestPartialWrite|TestWriteAtomic' \
     ./internal/service/ ./internal/resultcache/ ./internal/iofault/
 
 echo "== go test -race (watchdog stall smoke: wedged checkpoint write -> requeue -> byte-identical)"
 # A job wedged mid-run (blocked checkpoint write) must be detected by
 # the stuck-progress watchdog, cancelled, requeued through the backoff
 # ladder, and finish byte-identical on the retry; a job that stalls on
-# every attempt must fail loudly at the attempt cap.
-go test -race -count=1 -run 'TestWatchdog' ./internal/service/
+# every attempt must fail loudly at the attempt cap. Twenty shuffled
+# repetitions catch an abandoned attempt outliving Close and leaking
+# into the next test's failpoints.
+go test -race -count=20 -shuffle=on -run 'TestWatchdog' ./internal/service/
 
 echo "== go test -race -short (checkpoint kill/resume chaos: crash anywhere, resume, byte-identical)"
 # -short samples 3 kill points per snapshot set and workers {1,4}; the
@@ -99,10 +107,11 @@ go test -count=1 -cover ./internal/httpmw/ ./internal/logger/ | awk '
     }
     END { if (bad) { print "coverage below 90% floor" > "/dev/stderr"; exit 1 } }'
 
-echo "== coverage floor (iofault must stay >= 90% covered)"
-# The IO fault seam guards every durability write path; its behavior
-# under injection is exactly what the degraded-mode guarantees rest on.
-go test -count=1 -cover ./internal/iofault/ | awk '
+echo "== coverage floor (iofault, retry, frame must stay >= 90% covered)"
+# The IO fault seam, the breaker/backoff primitives and the binary frame
+# guard every durability and degradation path; their behavior is
+# exactly what the degraded-mode guarantees rest on.
+go test -count=1 -cover ./internal/iofault/ ./internal/retry/ ./internal/frame/ | awk '
     /coverage:/ {
         pct = 0
         for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%.*/, "", $i); pct = $i }
