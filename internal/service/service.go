@@ -818,18 +818,18 @@ func (s *Service) runJob(j *Job) {
 }
 
 // finishJob retires a job: terminal status, metrics, journal entry,
-// checkpoint cleanup. The job's lock is held until the journal entry
-// and the cleanup are done, so a poller never sees a terminal job whose
-// retirement is still pending. Safe to call twice (the second call is a
-// no-op) and with a nil job.
+// checkpoint cleanup. The job's lock is held throughout, so a poller
+// never sees a terminal job whose journal entry and cleanup are still
+// pending. Safe to call twice (the second call is a no-op) and with a
+// nil job.
 func (s *Service) finishJob(j *Job, res *Result, err error) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	status, dur, changed := j.finishLocked(res, err)
 	if !changed {
-		j.mu.Unlock()
 		return
 	}
 	kind := string(j.req.Kind)
@@ -847,7 +847,6 @@ func (s *Service) finishJob(j *Job, res *Result, err error) {
 	// A job that reached a terminal state will never resume; its
 	// checkpoint (if any) is dead weight.
 	s.removeCheckpoint(j.id)
-	j.mu.Unlock()
 	s.reg.Histogram("jobs.latency." + kind).Observe(dur)
 	// The kind-agnostic aggregate feeds the RetryAfter backlog estimate.
 	s.reg.Histogram("jobs.latency").Observe(dur)
