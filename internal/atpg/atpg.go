@@ -57,8 +57,8 @@ type Options struct {
 	IdentifyRedundant bool
 	// Workers selects the fault-sharded parallel engine for the
 	// deterministic phase: 0 or 1 runs single-threaded, n > 1 spreads
-	// speculative PODEM generation across n shard workers (see
-	// ParallelRun). The result is byte-identical at every worker count
+	// speculative PODEM generation across up to n shard workers (see
+	// parallel.go). The result is byte-identical at every worker count
 	// -- shards only pre-compute what the deterministic merge would have
 	// computed anyway -- so Workers is purely a wall-clock knob.
 	Workers int
@@ -75,10 +75,6 @@ type Options struct {
 	// lines. Tests remain valid for unknown initial state; the seed is
 	// just a fixed stimulus prefix.
 	SyncSeed bool
-	// fullResim (test/benchmark only) swaps the persistent incremental
-	// fault simulator for the pre-incremental cost model that rebuilds a
-	// full-sweep simulation of every surviving fault per sequence.
-	fullResim bool
 }
 
 // DefaultOptions returns the settings used by the experiment harness.
@@ -208,17 +204,9 @@ func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt
 		Faults:  faults,
 		Status:  make(map[fault.Fault]FaultStatus, len(faults)),
 	}
-	var g grader
-	if opt.fullResim {
-		g = newOracleGrader(c, faults)
-	} else {
-		g = newSimGrader(c, faults)
-	}
-
-	// Evals charges below use the historical full-sweep cost estimate
-	// (cycles x nodes x word groups over the survivors), not the much
-	// smaller measured event-driven work, so MaxEvalsTotal budgets keep
-	// their pre-incremental meaning; FsimStats carries the real counts.
+	// One persistent simulator grades every test of the run, so detected
+	// faults are never packed or simulated again.
+	s := fsim.NewSimulator(c, faults)
 	ckw := newCkWriter(c, faults, opt)
 	var src candidateSource
 	finish := func(err error) (*Result, error) {
@@ -233,7 +221,7 @@ func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt
 			src.close()
 			res.Parallel = src.parallelStats()
 		}
-		res.FsimStats = g.stats()
+		res.FsimStats = s.Stats()
 		res.Effort.Time = time.Since(start)
 		return res, err
 	}
@@ -245,50 +233,26 @@ func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt
 		}
 	}
 
-	if opt.RandomPhase && opt.RandomCount > 0 && opt.RandomLength > 0 {
-		// The random phase is a pure function of Options, so a resumed
-		// run replays it in full instead of persisting PRNG state; the
-		// grader walks the identical sequence of operations either way.
-		randomDone := 0
-		rngSeq := randomSequences(len(c.Inputs), opt)
-		for _, seq := range rngSeq {
-			if err := ctx.Err(); err != nil {
-				return finish(err)
-			}
-			live := g.liveCount()
-			if live == 0 {
-				break
-			}
-			newly, gradeErr := g.grade(ctx, seq)
-			res.Effort.Evals += int64(len(seq)) * int64(len(c.Nodes)) * int64((live+fsim.GroupWidth-1)/fsim.GroupWidth)
-			// Record detections even on a cancelled grade: they keep the
-			// Status map consistent with the grader's own bookkeeping.
-			if len(newly) > 0 {
-				res.Tests = append(res.Tests, seq)
-				res.TestSet = append(res.TestSet, seq...)
-				for _, f := range newly {
-					res.Status[f] = StatusDetected
-				}
-			}
-			if gradeErr != nil {
-				return finish(gradeErr)
-			}
-			randomDone++
-		}
-		ckw.setRandomDone(randomDone)
+	// The random phase is a pure function of Options, so a resumed run
+	// replays it in full instead of persisting PRNG state; the simulator
+	// walks the identical sequence of operations either way.
+	randomDone, err := randomPhase(ctx, s, res, opt)
+	if err != nil {
+		return finish(err)
 	}
+	ckw.setRandomDone(randomDone)
 
 	eng := newEngine(c, opt)
 	eng.ctx = ctx
-	remaining := g.remaining()
+	remaining := s.Remaining()
 
 	// Resume: replay the checkpoint's decision log against the fresh
-	// grader before any new generation. Logged outcomes are applied
+	// simulator before any new generation. Logged outcomes are applied
 	// without re-running PODEM; logged tests are re-graded so the
-	// incremental simulator, the Effort charges and the survivor list
-	// advance through the exact operation sequence of the original run.
-	// The candidate source (serial or speculative) is built only after
-	// the replay, over the post-replay survivors.
+	// simulator, the Effort charges and the survivor list advance
+	// through the exact operation sequence of the original run. The
+	// candidate source (inline or speculative) is built only after the
+	// replay, over the post-replay survivors.
 	if resume != nil {
 		for _, d := range resume.Decided {
 			if err := ctx.Err(); err != nil {
@@ -299,7 +263,7 @@ func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt
 					ErrCheckpointMismatch, d.Fault))
 			}
 			remaining = remaining[1:]
-			g.drop(d.Fault)
+			s.Drop(d.Fault)
 			res.Effort.Evals += d.Evals
 			res.Effort.Backtracks += d.Backtracks
 			res.Status[d.Fault] = d.Status
@@ -307,29 +271,19 @@ func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt
 			if d.Status != StatusDetected {
 				continue
 			}
-			res.Tests = append(res.Tests, d.Seq)
-			res.TestSet = append(res.TestSet, d.Seq...)
-			if live := g.liveCount(); live > 0 {
-				newly, gradeErr := g.grade(ctx, d.Seq)
-				res.Effort.Evals += int64(len(d.Seq)) * int64(len(c.Nodes)) * int64((live+fsim.GroupWidth-1)/fsim.GroupWidth)
-				for _, x := range newly {
-					res.Status[x] = StatusDetected
+			res.addTest(d.Seq)
+			if s.LiveCount() > 0 {
+				if _, err := gradeTest(ctx, s, res, d.Seq); err != nil {
+					return finish(err)
 				}
-				if gradeErr != nil {
-					return finish(gradeErr)
-				}
-				remaining = g.remaining()
+				remaining = s.Remaining()
 			}
 		}
 	}
 
-	switch {
-	case lookup != nil:
-		src = &lookupSource{lookup: lookup, eng: eng}
-	case opt.Workers > 1:
+	src = &lookupSource{lookup: lookup, eng: eng}
+	if lookup == nil && opt.Workers > 1 {
 		src = newSpeculator(ctx, c, opt, remaining, eng)
-	default:
-		src = serialSource{eng: eng}
 	}
 	for len(remaining) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -340,7 +294,7 @@ func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt
 		// The target leaves the grading set whatever generate decides:
 		// detected faults get an explicit test, aborted and redundant
 		// ones must never be simulated again.
-		g.drop(f)
+		s.Drop(f)
 		if opt.MaxEvalsTotal > 0 && res.Effort.Evals >= opt.MaxEvalsTotal {
 			res.Status[f] = StatusAborted
 			ckw.decided(DecidedFault{Fault: f, Status: StatusAborted})
@@ -361,28 +315,79 @@ func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt
 				Evals: cand.evals, Backtracks: cand.backtracks})
 			continue
 		}
-		res.Tests = append(res.Tests, cand.seq)
-		res.TestSet = append(res.TestSet, cand.seq...)
+		res.addTest(cand.seq)
 		// Fault dropping: simulate the new test over the survivors.
-		if live := g.liveCount(); live > 0 {
-			newly, gradeErr := g.grade(ctx, cand.seq)
-			res.Effort.Evals += int64(len(cand.seq)) * int64(len(c.Nodes)) * int64((live+fsim.GroupWidth-1)/fsim.GroupWidth)
-			for _, d := range newly {
-				res.Status[d] = StatusDetected
-			}
-			if gradeErr != nil {
+		if s.LiveCount() > 0 {
+			if _, err := gradeTest(ctx, s, res, cand.seq); err != nil {
 				// The grade was cut off mid-sequence; like a cancelled
 				// search this iteration is not logged and is redone in
 				// full on resume.
-				return finish(gradeErr)
+				return finish(err)
 			}
 			src.accepted(cand.seq)
-			remaining = g.remaining()
+			remaining = s.Remaining()
 		}
 		ckw.decided(DecidedFault{Fault: f, Status: StatusDetected,
 			Evals: cand.evals, Backtracks: cand.backtracks, Seq: cand.seq})
 	}
 	return finish(nil)
+}
+
+// addTest appends a generated or detecting random sequence to the
+// result's test list and test set.
+func (r *Result) addTest(seq sim.Seq) {
+	r.Tests = append(r.Tests, seq)
+	r.TestSet = append(r.TestSet, seq...)
+}
+
+// gradeTest is the one grade-and-charge step of the generator: it
+// simulates seq from the all-X state over the survivors of s, retiring
+// the detected faults, marks them detected in res.Status and charges
+// res.Effort. Detections are recorded even on a cancelled grade (the
+// processed prefix), which keeps Status consistent with the simulator's
+// own bookkeeping. The charge is the historical full-sweep estimate
+// (cycles x nodes x word groups over the survivors), not the much
+// smaller measured event-driven work, so MaxEvalsTotal budgets keep
+// their pre-incremental meaning; FsimStats carries the real counts. It
+// reports whether seq detected anything.
+func gradeTest(ctx context.Context, s *fsim.Simulator, res *Result, seq sim.Seq) (bool, error) {
+	live := s.LiveCount()
+	s.Reset()
+	newly, err := s.SimulateContext(ctx, seq)
+	res.Effort.Evals += int64(len(seq)) * int64(len(res.Circuit.Nodes)) * int64((live+fsim.GroupWidth-1)/fsim.GroupWidth)
+	for _, f := range newly {
+		res.Status[f] = StatusDetected
+	}
+	return len(newly) > 0, err
+}
+
+// randomPhase grades the random-phase sequences over s in order until
+// every fault is detected, keeping each sequence that detects something
+// as a test of res, and returns how many it graded in full. It is the
+// one random-phase loop: RunContext and RandomSurvivors both run it, so
+// a dispatcher's survivor list is the one the merge run reaches.
+func randomPhase(ctx context.Context, s *fsim.Simulator, res *Result, opt Options) (int, error) {
+	if !opt.RandomPhase || opt.RandomCount <= 0 || opt.RandomLength <= 0 {
+		return 0, nil
+	}
+	done := 0
+	for _, seq := range randomSequences(len(res.Circuit.Inputs), opt) {
+		if err := ctx.Err(); err != nil {
+			return done, err
+		}
+		if s.LiveCount() == 0 {
+			break
+		}
+		detected, err := gradeTest(ctx, s, res, seq)
+		if detected {
+			res.addTest(seq)
+		}
+		if err != nil {
+			return done, err
+		}
+		done++
+	}
+	return done, nil
 }
 
 // randomSequences builds the deterministic random-phase stimuli. Each

@@ -40,21 +40,13 @@ func benchDropWorkload(b *testing.B) (*netlist.Circuit, []fault.Fault) {
 	return c, faults
 }
 
-// BenchmarkATPGWithDropping pits the incremental event-driven grader
-// (the production path) against the pre-incremental cost model that
-// re-simulates every surviving fault with a full topological sweep per
-// generated sequence. Both arms produce identical results (see
-// TestGraderEquivalence); only the fault-simulation engine differs.
+// BenchmarkATPGWithDropping measures the generator on the dropping
+// workload through the production grading path: one persistent
+// event-driven simulator reused across every generated sequence. The
+// sub-benchmark keeps its historical name so recorded baselines still
+// match it.
 func BenchmarkATPGWithDropping(b *testing.B) {
 	c, faults := benchDropWorkload(b)
-	b.Run("full-resim", func(b *testing.B) {
-		opt := benchDropOptions()
-		opt.fullResim = true
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Run(c, faults, opt)
-		}
-	})
 	b.Run("incremental", func(b *testing.B) {
 		opt := benchDropOptions()
 		b.ResetTimer()
@@ -106,8 +98,10 @@ func BenchmarkATPGParallel(b *testing.B) {
 	})
 	for _, workers := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			opt := opt
+			opt.Workers = workers
 			for i := 0; i < b.N; i++ {
-				ParallelRun(c, faults, opt, workers)
+				Run(c, faults, opt)
 			}
 		})
 	}

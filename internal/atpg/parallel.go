@@ -42,7 +42,9 @@ import (
 
 // ParallelStats reports the speculation bookkeeping of a parallel run.
 type ParallelStats struct {
-	// Workers is the shard worker count the run used.
+	// Workers is the shard worker count the run was given
+	// (Options.Workers); no more workers start than the deterministic
+	// phase has faults.
 	Workers int
 	// Speculated counts PODEM generations completed by shard workers;
 	// Used of them were consumed by the merge driver, Wasted were
@@ -73,6 +75,19 @@ type genCandidate struct {
 	cancelled         bool
 }
 
+// candidate runs PODEM on f and packages the outcome with its metered
+// effort: the inline generation every candidate source falls back to.
+func (e *engine) candidate(f fault.Fault) genCandidate {
+	seq, status := e.generate(f)
+	return genCandidate{
+		seq:        seq,
+		status:     status,
+		evals:      e.evals,
+		backtracks: e.backtracks,
+		cancelled:  e.cancelled,
+	}
+}
+
 // candidateSource feeds the deterministic merge loop of RunContext.
 type candidateSource interface {
 	// next returns the PODEM candidate for the target fault, generating
@@ -88,25 +103,6 @@ type candidateSource interface {
 	// source is single-threaded).
 	parallelStats() *ParallelStats
 }
-
-// serialSource is the single-threaded candidate source: generate inline
-// on the driver's engine, exactly the historical Run loop.
-type serialSource struct{ eng *engine }
-
-func (s serialSource) next(f fault.Fault) genCandidate {
-	seq, status := s.eng.generate(f)
-	return genCandidate{
-		seq:        seq,
-		status:     status,
-		evals:      s.eng.evals,
-		backtracks: s.eng.backtracks,
-		cancelled:  s.eng.cancelled,
-	}
-}
-
-func (serialSource) accepted(sim.Seq)              {}
-func (serialSource) close()                        {}
-func (serialSource) parallelStats() *ParallelStats { return nil }
 
 // Slot lifecycle: Free -> Claimed -> (Done | Skipped). Free->Claimed is
 // a CAS race between a shard worker and the driver; the later
@@ -197,10 +193,7 @@ func newSpeculator(ctx context.Context, c *netlist.Circuit, opt Options, survivo
 	for i, f := range sp.faults {
 		sp.index[f] = i
 	}
-	n := opt.Workers
-	if n > len(sp.faults) {
-		n = len(sp.faults)
-	}
+	n := min(opt.Workers, len(sp.faults))
 	sp.stats.Workers = opt.Workers
 	// Build every worker before starting any: started goroutines read
 	// len(sp.workers) for the speculation window.
@@ -253,14 +246,7 @@ func (w *specWorker) run() {
 			sp.publish(slot, genCandidate{}, slotSkipped, true)
 			continue
 		}
-		seq, status := w.eng.generate(f)
-		cand := genCandidate{
-			seq:        seq,
-			status:     status,
-			evals:      w.eng.evals,
-			backtracks: w.eng.backtracks,
-			cancelled:  w.eng.cancelled,
-		}
+		cand := w.eng.candidate(f)
 		sp.publish(slot, cand, slotDone, true)
 		if cand.cancelled {
 			return
@@ -300,7 +286,7 @@ func (sp *speculator) next(f fault.Fault) genCandidate {
 	if !ok {
 		// Not a survivor the speculator was built over (defensive; the
 		// driver pops only from the survivor list).
-		return serialSource{eng: sp.eng}.next(f)
+		return sp.eng.candidate(f)
 	}
 	// Advance the merge frontier so stalled workers resume.
 	sp.mu.Lock()
@@ -315,7 +301,7 @@ func (sp *speculator) next(f fault.Fault) genCandidate {
 		// No worker reached this fault yet: generate inline on the
 		// driver's engine, exactly the serial path.
 		sp.driverGenerated.Add(1)
-		cand := serialSource{eng: sp.eng}.next(f)
+		cand := sp.eng.candidate(f)
 		sp.publish(slot, cand, slotDone, false)
 		sp.mu.Lock()
 		slot.used = true
@@ -336,7 +322,7 @@ func (sp *speculator) next(f fault.Fault) genCandidate {
 		// the survivor list before the driver could target it), but a
 		// serial regeneration preserves byte-identity even if a future
 		// refactor breaks the invariant.
-		return serialSource{eng: sp.eng}.next(f)
+		return sp.eng.candidate(f)
 	}
 	return cand
 }
@@ -389,22 +375,4 @@ func (sp *speculator) settle() {
 func (sp *speculator) parallelStats() *ParallelStats {
 	st := sp.stats
 	return &st
-}
-
-// ParallelRun is Run with the fault-sharded engine: opt.Workers shard
-// workers speculate PODEM generations ahead of a deterministic merge.
-// The result is byte-identical to Run (modulo Effort.Time and the
-// Parallel stats block) at every worker count; workers <= 1 runs the
-// serial engine. See ParallelRunContext for cancellation.
-func ParallelRun(c *netlist.Circuit, faults []fault.Fault, opt Options, workers int) *Result {
-	res, _ := ParallelRunContext(context.Background(), c, faults, opt, workers)
-	return res
-}
-
-// ParallelRunContext is ParallelRun with cooperative cancellation (the
-// RunContext contract: partial result plus the context error on early
-// stop). The workers argument overrides opt.Workers.
-func ParallelRunContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, workers int) (*Result, error) {
-	opt.Workers = workers
-	return RunContext(ctx, c, faults, opt)
 }

@@ -56,15 +56,17 @@ func parallelOptions() Options {
 	return opt
 }
 
-// TestParallelByteIdentical is the core contract: ParallelRun equals
-// Run at every worker count, not just Workers=1, because shards only
+// TestParallelByteIdentical is the core contract: a Workers run equals
+// the serial Run at every worker count, not just Workers=1, because shards only
 // precompute what the deterministic merge would have computed anyway.
 func TestParallelByteIdentical(t *testing.T) {
 	for _, c := range parallelWorkloads(t) {
 		reps, _ := fault.Collapse(c)
 		want := Run(c, reps, parallelOptions())
 		for _, workers := range []int{1, 2, 4, 8} {
-			got := ParallelRun(c, reps, parallelOptions(), workers)
+			opt := parallelOptions()
+			opt.Workers = workers
+			got, _ := RunContext(context.Background(), c, reps, opt)
 			if workers <= 1 && got.Parallel != nil {
 				t.Fatalf("%s workers=%d: Parallel stats on a serial run", c.Name, workers)
 			}
@@ -103,8 +105,10 @@ func TestParallelDeterministicRepeated(t *testing.T) {
 	reps, _ := fault.Collapse(c)
 	want := Run(c, reps, parallelOptions())
 	for _, workers := range []int{2, 4, 8} {
+		opt := parallelOptions()
+		opt.Workers = workers
 		for i := 0; i < repeats; i++ {
-			got := ParallelRun(c, reps, parallelOptions(), workers)
+			got, _ := RunContext(context.Background(), c, reps, opt)
 			if !reflect.DeepEqual(want.Tests, got.Tests) {
 				t.Fatalf("workers=%d repeat=%d: Tests differ", workers, i)
 			}
@@ -129,11 +133,13 @@ func TestParallelCancellation(t *testing.T) {
 		Inputs: 6, Outputs: 6, Gates: 300, DFFs: 16, MaxFanin: 4,
 	})
 	reps, _ := fault.Collapse(c)
+	opt := parallelOptions()
+	opt.Workers = 4
 
 	// Already-cancelled context: immediate stop, empty-ish result.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ParallelRunContext(ctx, c, reps, parallelOptions(), 4)
+	res, err := RunContext(ctx, c, reps, opt)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -145,7 +151,7 @@ func TestParallelCancellation(t *testing.T) {
 	// would and still return a consistent partial result.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel2()
-	res2, err2 := ParallelRunContext(ctx2, c, reps, parallelOptions(), 4)
+	res2, err2 := RunContext(ctx2, c, reps, opt)
 	if err2 == nil && res2.FaultEfficiency() < 100 {
 		t.Fatal("timed-out run reported no error without finishing")
 	}
@@ -157,8 +163,8 @@ func TestParallelCancellation(t *testing.T) {
 	}
 }
 
-// TestParallelWorkersOptionPlumbed checks Options.Workers alone (no
-// ParallelRun wrapper) engages the sharded engine through RunContext.
+// TestParallelWorkersOptionPlumbed checks Options.Workers alone
+// engages the sharded engine through Run.
 func TestParallelWorkersOptionPlumbed(t *testing.T) {
 	c := netlist.Fig2C1()
 	reps, _ := fault.Collapse(c)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/failpoint"
 	"repro/internal/fault"
+	"repro/internal/fsim"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 )
@@ -111,21 +112,12 @@ func ShardCheckpoint(c *netlist.Circuit, faults []fault.Fault, opt Options, deci
 // shard this list: the merge run's own random phase is a pure function
 // of Options and reproduces the identical survivors.
 func RandomSurvivors(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options) ([]fault.Fault, error) {
-	g := newSimGrader(c, faults)
-	if opt.RandomPhase && opt.RandomCount > 0 && opt.RandomLength > 0 {
-		for _, seq := range randomSequences(len(c.Inputs), opt) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if g.liveCount() == 0 {
-				break
-			}
-			if _, err := g.grade(ctx, seq); err != nil {
-				return nil, err
-			}
-		}
+	s := fsim.NewSimulator(c, faults)
+	scratch := &Result{Circuit: c, Status: make(map[fault.Fault]FaultStatus)}
+	if _, err := randomPhase(ctx, s, scratch, opt); err != nil {
+		return nil, err
 	}
-	return g.remaining(), nil
+	return s.Remaining(), nil
 }
 
 // CandidateLookup supplies precomputed PODEM candidates to the merge
@@ -147,17 +139,20 @@ func RunContextWithCandidates(ctx context.Context, c *netlist.Circuit, faults []
 }
 
 // lookupSource feeds the merge loop from a CandidateLookup, generating
-// inline on the driver's engine when the lookup misses.
+// inline on the driver's engine when the lookup misses or is nil (the
+// serial run).
 type lookupSource struct {
 	lookup CandidateLookup
 	eng    *engine
 }
 
 func (s *lookupSource) next(f fault.Fault) genCandidate {
-	if d, ok := s.lookup(f); ok {
-		return genCandidate{seq: d.Seq, status: d.Status, evals: d.Evals, backtracks: d.Backtracks}
+	if s.lookup != nil {
+		if d, ok := s.lookup(f); ok {
+			return genCandidate{seq: d.Seq, status: d.Status, evals: d.Evals, backtracks: d.Backtracks}
+		}
 	}
-	return serialSource{eng: s.eng}.next(f)
+	return s.eng.candidate(f)
 }
 
 func (s *lookupSource) accepted(sim.Seq)              {}

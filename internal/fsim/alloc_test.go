@@ -71,11 +71,16 @@ func TestSimulateParallelSteadyStateAllocs(t *testing.T) {
 	faults := fault.Universe(c)
 	seq := randomSeq(rng, len(c.Inputs), 160) // two good-machine blocks
 	s := NewSimulator(c, faults)
-	s.forceParallel = true
 	s.SetMaxWorkers(4)
 	s.Simulate(seq)
 	s.Reset()
 	s.Simulate(seq)
+	// The multi-worker branch runs only while the live list is above
+	// ParallelThreshold; the warm-up must not have detected it below.
+	if s.LiveCount() <= ParallelThreshold {
+		t.Fatalf("only %d live faults after warm-up; need > %d for the parallel path",
+			s.LiveCount(), ParallelThreshold)
+	}
 	allocs := testing.AllocsPerRun(20, func() {
 		s.Reset()
 		s.Simulate(seq)

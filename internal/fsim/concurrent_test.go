@@ -13,7 +13,8 @@ import (
 
 // TestParallelMatchesSequential checks the acceptance criterion: the
 // concurrent engine produces identical DetectedAt maps on randomized
-// circuits, including fault lists large enough to span many groups.
+// circuits, including fault lists large enough to span many groups (Run
+// spreads lists above ParallelThreshold across GOMAXPROCS workers).
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
@@ -28,7 +29,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		seq := randomSeq(rng, len(c.Inputs), 40)
 
 		seqRes := RunSequential(c, faults, seq)
-		parRes := RunParallel(c, faults, seq)
+		parRes := Run(c, faults, seq)
 		if len(seqRes.DetectedAt) != len(parRes.DetectedAt) {
 			t.Fatalf("trial %d: detected %d sequential vs %d parallel",
 				trial, len(seqRes.DetectedAt), len(parRes.DetectedAt))
@@ -70,12 +71,12 @@ func TestRunDispatch(t *testing.T) {
 func TestParallelEmptyAndTinyLists(t *testing.T) {
 	c := netlist.Fig2C1()
 	seq := randomSeq(rand.New(rand.NewSource(3)), len(c.Inputs), 10)
-	if res := RunParallel(c, nil, seq); res.Detected() != 0 {
+	if res := Run(c, nil, seq); res.Detected() != 0 {
 		t.Fatal("empty fault list detected faults")
 	}
 	faults := fault.Universe(c)[:1]
 	seqRes := RunSequential(c, faults, seq)
-	parRes := RunParallel(c, faults, seq)
+	parRes := Run(c, faults, seq)
 	if seqRes.Detected() != parRes.Detected() {
 		t.Fatalf("single fault: %d vs %d", seqRes.Detected(), parRes.Detected())
 	}
@@ -108,7 +109,7 @@ func BenchmarkFsimParallel(b *testing.B) {
 	c, faults, seq := benchWorkload(b)
 	b.Run(fmt.Sprintf("procs=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			RunParallel(c, faults, seq)
+			Run(c, faults, seq)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package fsim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -247,11 +248,16 @@ func TestSimulatorAlive(t *testing.T) {
 // shard simulators run with SetMaxWorkers(1) and must detect exactly
 // what an uncapped simulator detects.
 func TestSimulatorMaxWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(606))
 	c := netlist.Random(rng, netlist.RandomParams{
 		Inputs: 5, Outputs: 4, Gates: 150, DFFs: 8, MaxFanin: 4,
 	})
 	faults := fault.Universe(c)
+	if len(faults) <= ParallelThreshold { // runGroups' cap branch needs the multi-worker path
+		t.Fatalf("test circuit too small: %d faults", len(faults))
+	}
 	seq := randomSeq(rng, len(c.Inputs), 30)
 
 	ref := NewSimulator(c, faults)
@@ -259,7 +265,6 @@ func TestSimulatorMaxWorkers(t *testing.T) {
 
 	capped := NewSimulator(c, faults)
 	capped.SetMaxWorkers(1)
-	capped.forceParallel = true // exercise runGroups' cap branch even on tiny lists
 	capDet := capped.Simulate(seq)
 
 	if len(refDet) != len(capDet) {

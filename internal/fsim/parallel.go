@@ -3,7 +3,6 @@ package fsim
 import (
 	"context"
 	"math/bits"
-	"runtime"
 
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -77,31 +76,12 @@ func RunContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, s
 	return s.Result(), err
 }
 
-// RunParallel fault-simulates with one worker goroutine per processor,
-// each owning a private event-driven engine and draining 63-fault
-// groups from a shared index. A group writes DetectedAt entries only
-// for its own faults, so per-worker partial results merge without
-// conflicts and DetectedAt is identical to the sequential run for every
-// fault.
-func RunParallel(c *netlist.Circuit, faults []fault.Fault, seq sim.Seq) *Result {
-	res, _ := RunParallelContext(context.Background(), c, faults, seq)
-	return res
-}
-
-// RunParallelContext is RunParallel with cooperative cancellation,
-// checked once per 128-cycle block between worker fan-outs.
-func RunParallelContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, seq sim.Seq) (*Result, error) {
-	s := NewSimulator(c, faults)
-	s.forceParallel = runtime.GOMAXPROCS(0) > 1
-	_, err := s.SimulateContext(ctx, seq)
-	return s.Result(), err
-}
-
 // RunSequential fault-simulates group by group on the calling goroutine
 // with the full-sweep PROOFS-style engine: every gate is evaluated on
 // every cycle and no fault is ever dropped from the injection tables.
 // It is the bit-exact reference implementation the event-driven paths
-// must match.
+// must match: the test-only oracle of the differential tests, never a
+// production path.
 func RunSequential(c *netlist.Circuit, faults []fault.Fault, seq sim.Seq) *Result {
 	res := &Result{Circuit: c, Faults: faults, DetectedAt: make(map[fault.Fault]int)}
 	eng := newEngine(c)

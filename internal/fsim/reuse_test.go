@@ -81,12 +81,14 @@ func TestRearmMatchesFresh(t *testing.T) {
 		Inputs: 6, Outputs: 5, Gates: 120, DFFs: 8, MaxFanin: 4,
 	})
 	faults := fault.Universe(c)
+	if len(faults) <= ParallelThreshold { // the rearmed run must take the multi-worker path
+		t.Fatalf("test circuit too small: %d faults", len(faults))
+	}
 	seq := randomSeq(rng, len(c.Inputs), 50)
 	oracle := RunSequential(c, faults, seq)
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		s := NewSimulator(c, faults)
-		s.forceParallel = workers > 1
 		s.SetMaxWorkers(workers)
 		// First life: unrelated workload plus drops to force repacking.
 		s.Simulate(randomSeq(rng, len(c.Inputs), 40))

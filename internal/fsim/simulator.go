@@ -76,9 +76,6 @@ type Simulator struct {
 	keepBuf   []*group
 	donorBuf  []*group
 
-	// forceParallel widens the worker pool regardless of the live fault
-	// count (RunParallel semantics); used by tests and RunParallel.
-	forceParallel bool
 	// maxWorkers caps the internal group-worker pool (0 = automatic
 	// GOMAXPROCS sizing); see SetMaxWorkers.
 	maxWorkers int
@@ -366,8 +363,7 @@ func (s *Simulator) runGroups(ctx context.Context, seq sim.Seq) ([][]detection, 
 	processed := 0
 	var ctxErr error
 	workers := 1
-	if procs := runtime.GOMAXPROCS(0); procs > 1 &&
-		(s.forceParallel || s.liveTotal > ParallelThreshold) {
+	if procs := runtime.GOMAXPROCS(0); procs > 1 && s.liveTotal > ParallelThreshold {
 		workers = procs
 	}
 	if s.maxWorkers > 0 && workers > s.maxWorkers {

@@ -24,28 +24,20 @@ import (
 // payloads are canonical JSON of service.Result, and any
 // shape-changing edit to that struct must bump this tag so stale
 // entries miss instead of deserializing wrong.
-const cachePayloadVersion = "service.v1"
+const cachePayloadVersion = "service.v2"
 
 // requestKey derives the request's cache key. The circuit contributes
 // through its canonical bench rendering and the fault-bearing kinds
 // through the collapsed fault list, both via the checkpoint identity
 // hashes; everything else that can move the response -- the kind, the
-// retime mode, ATPG options, the requested worker count (echoed in
-// ATPGResult.Workers), the fault-sim vectors, the prefix fill and seed
-// -- folds into the options slot. Result-neutral request fields
-// (TimeoutMS) are deliberately excluded. Equivalent spellings are
-// normalized ("" == "period", "" == "zeros", seed ignored unless the
-// fill is random) so they share an entry.
-//
-// distributed says whether the ATPG leg will run through the backend
-// dispatcher (Service.distributed). Distribution itself is
-// result-neutral -- vectors and counts are byte-identical at every
-// shard count -- but a distributed run never populates the parallel
-// engine stats, so its Workers echo is always 0: the key normalizes
-// the worker count to 0 so every distributed submission shares one
-// entry (and shares it with the serial Workers<=1 spelling, which
-// produces the identical payload).
-func requestKey(req *Request, c *netlist.Circuit, distributed bool) resultcache.Key {
+// retime mode, ATPG options, the fault-sim vectors, the prefix fill and
+// seed -- folds into the options slot. Result-neutral request fields
+// (TimeoutMS, and the ATPG Workers and Backends, whose runs are
+// byte-identical to the serial one) are deliberately excluded, so
+// serial, parallel and distributed submissions share one entry.
+// Equivalent spellings are normalized ("" == "period", "" == "zeros",
+// seed ignored unless the fill is random) so they share an entry.
+func requestKey(req *Request, c *netlist.Circuit) resultcache.Key {
 	opt := req.ATPG.Options()
 	var faults []fault.Fault
 	switch req.Kind {
@@ -63,13 +55,7 @@ func requestKey(req *Request, c *netlist.Circuit, distributed bool) resultcache.
 		}
 		parts = append(parts, mode)
 	case KindATPG:
-		workers := opt.Workers
-		if distributed || workers <= 1 {
-			workers = 0
-		}
-		parts = append(parts,
-			strconv.FormatUint(oh, 16),
-			strconv.Itoa(workers))
+		parts = append(parts, strconv.FormatUint(oh, 16))
 	case KindFaultSim:
 		parts = append(parts, req.Tests)
 	case KindDeriveTests:
@@ -102,7 +88,7 @@ func (s *Service) executeCached(ctx context.Context, id string, req *Request, c 
 	if s.cache == nil {
 		return s.dispatch(ctx, id, req, c)
 	}
-	key := requestKey(req, c, s.distributed(req))
+	key := requestKey(req, c)
 	if s.jobAttempt(id) > 1 {
 		return s.executeCachedRetry(ctx, id, req, c, key)
 	}

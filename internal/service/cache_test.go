@@ -212,37 +212,32 @@ func TestRequestKeyNormalization(t *testing.T) {
 		{{Kind: KindDeriveTests, Fill: ""}, {Kind: KindDeriveTests, Fill: "zeros"}},
 		{{Kind: KindDeriveTests, Fill: "ones", Seed: 1}, {Kind: KindDeriveTests, Fill: "ones", Seed: 2}},
 		{{Kind: KindATPG}, {Kind: KindATPG, TimeoutMS: 5000}},
-		// Workers 0 and 1 both run serial and echo Workers=0.
+		// Worker and backend counts are result-neutral: serial, parallel
+		// and distributed runs share one entry.
 		{{Kind: KindATPG}, {Kind: KindATPG, ATPG: &ATPGSpec{Workers: 1}}},
+		{{Kind: KindATPG}, {Kind: KindATPG, ATPG: &ATPGSpec{Workers: 4}}},
+		{{Kind: KindATPG}, {Kind: KindATPG, ATPG: &ATPGSpec{Workers: 4, Backends: 2}}},
 	}
 	for i, pair := range same {
-		if requestKey(&pair[0], c, false) != requestKey(&pair[1], c, false) {
+		if requestKey(&pair[0], c) != requestKey(&pair[1], c) {
 			t.Errorf("case %d: equivalent requests got different keys", i)
 		}
-	}
-	// Distribution is result-neutral and suppresses the Workers echo:
-	// every distributed spelling shares the serial Workers=0 entry.
-	serial := Request{Kind: KindATPG}
-	dist := Request{Kind: KindATPG, ATPG: &ATPGSpec{Workers: 4, Backends: 2}}
-	if requestKey(&serial, c, false) != requestKey(&dist, c, true) {
-		t.Error("distributed request did not share the serial cache entry")
 	}
 	distinct := [][2]Request{
 		{{Kind: KindRetime}, {Kind: KindRetime, Mode: "registers"}},
 		{{Kind: KindATPG}, {Kind: KindRetime}},
 		{{Kind: KindATPG}, {Kind: KindATPG, ATPG: &ATPGSpec{RandomSeed: 7}}},
-		{{Kind: KindATPG}, {Kind: KindATPG, ATPG: &ATPGSpec{Workers: 4}}},
 		{{Kind: KindFaultSim, Tests: "00"}, {Kind: KindFaultSim, Tests: "01"}},
 		{{Kind: KindDeriveTests, Fill: "random", Seed: 1}, {Kind: KindDeriveTests, Fill: "random", Seed: 2}},
 	}
 	for i, pair := range distinct {
-		if requestKey(&pair[0], c, false) == requestKey(&pair[1], c, false) {
+		if requestKey(&pair[0], c) == requestKey(&pair[1], c) {
 			t.Errorf("case %d: result-affecting difference got the same key", i)
 		}
 	}
 	c2 := mustParse(t, netlist.BenchString(netlist.Fig2C2()))
 	req := Request{Kind: KindATPG}
-	if requestKey(&req, c, false) == requestKey(&req, c2, false) {
+	if requestKey(&req, c) == requestKey(&req, c2) {
 		t.Error("different circuits got the same key")
 	}
 }

@@ -84,6 +84,43 @@ func TestServiceDistributedATPG(t *testing.T) {
 	}
 }
 
+// TestATPGOneCacheEntryAcrossEngines: serial, parallel (workers) and
+// distributed (backends) runs of one ATPG request are byte-identical by
+// contract, so they share one cache entry. The first submission fills
+// it; the other two must be hits with the identical payload and the
+// same key, and so the same ETag.
+func TestATPGOneCacheEntryAcrossEngines(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1, Backends: startWorkers(t, 2)})
+	plain := distRequest(0)
+	plain.ATPG = nil
+	parallel := distRequest(0)
+	parallel.ATPG = &ATPGSpec{Workers: 2}
+	first := View{}
+	for i, req := range []Request{plain, parallel, distRequest(2)} {
+		id, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := waitDone(t, s, id)
+		if v.Status != StatusDone {
+			t.Fatalf("submission %d: %s (%s)", i, v.Status, v.Error)
+		}
+		if i == 0 {
+			first = v
+			continue
+		}
+		if v.Cache != "hit" {
+			t.Fatalf("submission %d: cache %q, want hit", i, v.Cache)
+		}
+		if v.CacheKey != first.CacheKey {
+			t.Fatalf("submission %d: key %s, first %s", i, v.CacheKey, first.CacheKey)
+		}
+		if got, want := string(resultJSON(t, v)), string(resultJSON(t, first)); got != want {
+			t.Fatalf("submission %d: payload differs:\n got %s\nwant %s", i, got, want)
+		}
+	}
+}
+
 // TestServiceBackendsIgnoredWithoutFleet: Backends > 0 on a service
 // with no configured workers runs locally and still succeeds.
 func TestServiceBackendsIgnoredWithoutFleet(t *testing.T) {

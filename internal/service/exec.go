@@ -118,9 +118,7 @@ func (s *Service) execRetime(ctx context.Context, req *Request, c *netlist.Circu
 
 // distributed reports whether a request's ATPG leg runs through the
 // backend dispatcher: the job must ask (ATPGSpec.Backends > 0) and the
-// service must have backends configured. Result-neutral either way,
-// but the cache key normalization (requestKey) must agree with this
-// exact predicate.
+// service must have backends configured. Result-neutral either way.
 func (s *Service) distributed(req *Request) bool {
 	return s.disp != nil && req.ATPG != nil && req.ATPG.Backends > 0
 }
@@ -178,9 +176,6 @@ func (s *Service) execATPG(ctx context.Context, id string, req *Request, c *netl
 		Vectors:         vecStrings(res.TestSet),
 		Sequences:       len(res.Tests),
 		Evals:           res.Effort.Evals,
-	}
-	if res.Parallel != nil {
-		out.Workers = res.Parallel.Workers
 	}
 	return &Result{ATPG: out}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -109,6 +110,9 @@ func (r *Request) Validate() error {
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("service: negative timeout")
 	}
+	if r.ATPG != nil && r.ATPG.Workers < 0 {
+		return fmt.Errorf("service: negative workers")
+	}
 	if r.ATPG != nil && r.ATPG.Backends < 0 {
 		return fmt.Errorf("service: negative backends")
 	}
@@ -137,9 +141,12 @@ type ATPGSpec struct {
 	MaxEvalsTotal    int64 `json:"max_evals_total,omitempty"`
 	RandomPhase      *bool `json:"random_phase,omitempty"`
 	RandomSeed       int64 `json:"random_seed,omitempty"`
-	// Workers > 1 selects the fault-sharded parallel engine. Output is
-	// byte-identical at every worker count, so this only trades CPU for
-	// latency.
+	// Workers > 1 selects the fault-sharded parallel engine, clamped to
+	// the service's GOMAXPROCS: each speculator owns a PODEM engine and
+	// a fault simulator, so more than one per processor only costs
+	// memory. Output is byte-identical at every worker count, so this
+	// only trades CPU for latency; it is absent from the result and the
+	// cache key.
 	Workers int `json:"workers,omitempty"`
 	// Backends > 0 asks the service to fan the fault list out across
 	// its configured worker backends (servd -backend), sharded that
@@ -176,7 +183,7 @@ func (s *ATPGSpec) Options() atpg.Options {
 		opt.RandomSeed = s.RandomSeed
 	}
 	if s.Workers > 0 {
-		opt.Workers = s.Workers
+		opt.Workers = min(s.Workers, runtime.GOMAXPROCS(0))
 	}
 	return opt
 }
@@ -214,8 +221,6 @@ type ATPGResult struct {
 	Vectors         []string `json:"vectors"`
 	Sequences       int      `json:"sequences"`
 	Evals           int64    `json:"evals"`
-	// Workers echoes the shard count a parallel run used (0 = serial).
-	Workers int `json:"workers,omitempty"`
 }
 
 // FaultSimResult reports a fault-simulation job.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -132,10 +133,14 @@ func TestATPGJobDeterministic(t *testing.T) {
 }
 
 // TestATPGJobParallelWorkers drives the fault-sharded engine through
-// the job path: same test set as a serial job, shard count echoed in
-// the result, speculation counters in the metrics registry.
+// the job path: same test set as a serial job, speculation counters in
+// the metrics registry. The cache is off so both jobs really run (they
+// share one entry otherwise), and GOMAXPROCS is raised so the service's
+// clamp leaves all four workers.
 func TestATPGJobParallelWorkers(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1})
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	s := newTestService(t, Config{Workers: 1, CacheBytes: -1})
 	c := netlist.Fig2C1()
 	bench := netlist.BenchString(c)
 
@@ -160,17 +165,41 @@ func TestATPGJobParallelWorkers(t *testing.T) {
 	if strings.Join(pv.Result.ATPG.Vectors, ",") != strings.Join(sv.Result.ATPG.Vectors, ",") {
 		t.Fatal("parallel job produced a different test set than the serial job")
 	}
-	if pv.Result.ATPG.Workers != 4 {
-		t.Fatalf("result echoes %d workers, want 4", pv.Result.ATPG.Workers)
-	}
-	if sv.Result.ATPG.Workers != 0 {
-		t.Fatalf("serial job reports %d workers, want 0", sv.Result.ATPG.Workers)
-	}
 	if got := s.Metrics().Counter("atpg.parallel.runs").Value(); got != 1 {
 		t.Fatalf("atpg.parallel.runs = %d, want 1", got)
 	}
 	if s.Metrics().Gauge("atpg.parallel.workers").Value() != 4 {
 		t.Fatal("atpg.parallel.workers gauge not recorded")
+	}
+}
+
+// TestATPGWorkersClamped: an absurd worker count is clamped to
+// GOMAXPROCS at the service edge -- the job finishes byte-identical to
+// the serial one without starting a speculator per survivor -- and a
+// negative count is rejected at submit.
+func TestATPGWorkersClamped(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1, CacheBytes: -1})
+	bench := netlist.BenchString(netlist.Fig5N1())
+	if _, err := s.Submit(Request{Kind: KindATPG, Bench: bench, ATPG: &ATPGSpec{Workers: -1}}); err == nil {
+		t.Fatal("negative workers accepted")
+	}
+	serial, err := s.Submit(Request{Kind: KindATPG, Bench: bench})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge, err := s.Submit(Request{Kind: KindATPG, Bench: bench, ATPG: &ATPGSpec{Workers: 1_000_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, hv := waitDone(t, s, serial), waitDone(t, s, huge)
+	if hv.Status != StatusDone {
+		t.Fatalf("clamped job: %s (%s)", hv.Status, hv.Error)
+	}
+	if got, want := string(resultJSON(t, hv)), string(resultJSON(t, sv)); got != want {
+		t.Fatalf("clamped job payload differs from serial:\n got %s\nwant %s", got, want)
+	}
+	if w, procs := s.Metrics().Gauge("atpg.parallel.workers").Value(), int64(runtime.GOMAXPROCS(0)); w > procs {
+		t.Fatalf("atpg.parallel.workers = %d, above GOMAXPROCS %d", w, procs)
 	}
 }
 

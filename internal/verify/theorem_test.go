@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,7 +21,7 @@ import (
 // metamorphic relation is the paper's: whatever the original circuit's
 // sequences achieve (synchronization, fault detection), the
 // prefix-mapped sequences must achieve on the retimed circuit. Both the
-// serial ATPG and the fault-sharded ParallelRun feed the Theorem 4
+// serial ATPG and the fault-sharded Workers run feed the Theorem 4
 // check, so the suite also pins the parallel engine to the contract
 // that makes its speedup safe.
 
@@ -87,12 +88,14 @@ func TestTheorem4Metamorphic(t *testing.T) {
 		opt := theoremATPGOptions()
 		serial := atpg.Run(pair.Original, faults, opt)
 		workers := workerCounts[attempt%len(workerCounts)]
-		parallel := atpg.ParallelRun(pair.Original, faults, opt, workers)
+		popt := opt
+		popt.Workers = workers
+		parallel, _ := atpg.RunContext(context.Background(), pair.Original, faults, popt)
 		if !reflect.DeepEqual(serial.TestSet, parallel.TestSet) {
-			t.Fatalf("%s: ParallelRun(%d) test set differs from Run", pair.Retimed.Name, workers)
+			t.Fatalf("%s: Workers=%d run test set differs from Run", pair.Retimed.Name, workers)
 		}
 		if !reflect.DeepEqual(serial.Status, parallel.Status) {
-			t.Fatalf("%s: ParallelRun(%d) status map differs from Run", pair.Retimed.Name, workers)
+			t.Fatalf("%s: Workers=%d run status map differs from Run", pair.Retimed.Name, workers)
 		}
 		if len(serial.TestSet) == 0 {
 			continue

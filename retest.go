@@ -66,7 +66,7 @@ type (
 	// evaluations, drops, repacks).
 	FaultSimStats = fsim.Stats
 	// ATPGParallelStats reports the speculation bookkeeping of a
-	// fault-sharded ParallelATPG run.
+	// fault-sharded ATPG run (ATPGOptions.Workers > 1).
 	ATPGParallelStats = atpg.ParallelStats
 	// ATPGCheckpoint is a durable snapshot of an ATPG run's decision
 	// log; resuming from one reproduces the uninterrupted run's result
@@ -158,7 +158,11 @@ func Graph(c *Circuit) *RetimingGraph { return retime.FromCircuit(c) }
 // harness uses.
 func DefaultATPGOptions() ATPGOptions { return atpg.DefaultOptions() }
 
-// ATPG runs the sequential structural test generator.
+// ATPG runs the sequential structural test generator. Set
+// opt.Workers > 1 to speculate PODEM searches on that many shard
+// workers ahead of a deterministic merge: the result is byte-identical
+// at every worker count (modulo wall-clock time and the Parallel stats
+// block) while the deterministic phase scales with physical cores.
 func ATPG(c *Circuit, faults []Fault, opt ATPGOptions) *ATPGResult { return atpg.Run(c, faults, opt) }
 
 // ATPGContext is ATPG with cooperative cancellation: the generator
@@ -167,22 +171,6 @@ func ATPG(c *Circuit, faults []Fault, opt ATPGOptions) *ATPGResult { return atpg
 // uncancelled context the result is byte-identical to ATPG.
 func ATPGContext(ctx context.Context, c *Circuit, faults []Fault, opt ATPGOptions) (*ATPGResult, error) {
 	return atpg.RunContext(ctx, c, faults, opt)
-}
-
-// ParallelATPG runs the fault-sharded test generator: workers shard
-// workers speculate PODEM searches ahead of a deterministic merge, so
-// the result is byte-identical to ATPG at every worker count (modulo
-// wall-clock time and the Parallel stats block) while the deterministic
-// phase scales with physical cores.
-func ParallelATPG(c *Circuit, faults []Fault, opt ATPGOptions, workers int) *ATPGResult {
-	return atpg.ParallelRun(c, faults, opt, workers)
-}
-
-// ParallelATPGContext is ParallelATPG with cooperative cancellation
-// (the ATPGContext contract: partial result plus the context error on
-// early stop).
-func ParallelATPGContext(ctx context.Context, c *Circuit, faults []Fault, opt ATPGOptions, workers int) (*ATPGResult, error) {
-	return atpg.ParallelRunContext(ctx, c, faults, opt, workers)
 }
 
 // LoadATPGCheckpoint reads and decodes a checkpoint file; the error

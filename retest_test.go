@@ -52,7 +52,9 @@ func TestFacadeWorkflow(t *testing.T) {
 
 	// The fault-sharded engine must reproduce the serial test set and
 	// surface its speculation stats through the facade types.
-	pres := ParallelATPG(pair.Original, faults, opt, 4)
+	popt := opt
+	popt.Workers = 4
+	pres, _ := ATPGContext(context.Background(), pair.Original, faults, popt)
 	if len(pres.TestSet) != len(res.TestSet) {
 		t.Fatalf("parallel test set %d vectors, serial %d", len(pres.TestSet), len(res.TestSet))
 	}

@@ -4,6 +4,49 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# require_tests PATTERN PKG...: fail unless every |-separated
+# alternative of a -run/-fuzz pattern names at least one test, fuzz
+# target or benchmark in the packages. go test only prints "no tests to
+# run" and passes when a pattern matches nothing, so without this a
+# deleted or renamed test would silently empty a named stage.
+require_tests() {
+    pattern=$1
+    shift
+    names=$(go test -list "$pattern" "$@" | grep -Ev '^(ok|\?) ') || true
+    for alt in $(printf '%s' "$pattern" | tr '|' ' '); do
+        if ! printf '%s\n' "$names" | grep -Eq -- "$alt"; then
+            echo "check.sh: -run/-fuzz alternative '$alt' matches no test in $*" >&2
+            exit 1
+        fi
+    done
+}
+
+# named_test PATTERN ARGS...: go test -run PATTERN ARGS... after
+# require_tests has checked PATTERN against the ./... package arguments.
+named_test() {
+    pattern=$1
+    shift
+    pkgs=
+    for arg in "$@"; do
+        case $arg in ./*) pkgs="$pkgs $arg" ;; esac
+    done
+    require_tests "$pattern" $pkgs
+    go test -run "$pattern" "$@"
+}
+
+# fuzz_smoke TARGET PKG: a 5 s fuzz run of one named target.
+fuzz_smoke() {
+    require_tests "$1" "$2"
+    go test -run='^$' -fuzz="$1" -fuzztime=5s "$2"
+}
+
+# summary CMD...: run a go test -v command, print only its RUN/PASS/FAIL
+# lines, and keep its exit status (a pipe into grep would drop it).
+summary() {
+    out=$("$@") || { printf '%s\n' "$out"; return 1; }
+    printf '%s\n' "$out" | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|ok|FAIL)'
+}
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -30,15 +73,21 @@ go test -race -count=1 ./internal/fsim/... ./internal/service/... ./internal/fai
 echo "== go test -race (result cache: hit/miss byte-identity, corrupt-entry discard, single-flight)"
 # The cache round-trip gate: a repeat submission is served byte-identical
 # from memory and from disk, a corrupted entry file is discarded (never
-# served), and N concurrent identical submissions run ATPG exactly once.
-go test -race -count=1 -run 'TestCachedRun|TestCacheServesRepeatedSubmission|TestCacheDiskTierSurvivesRestart|TestCorruptEntryDiscardedOnLoad|TestConcurrentIdenticalSubmissionsRunOnce|TestCacheHammer' \
-    ./internal/resultcache/ ./internal/atpg/ ./internal/service/
+# served), N concurrent identical submissions run ATPG exactly once, and
+# serial, workers and backends submissions of one ATPG request share one
+# entry.
+named_test 'TestCachedRun|TestCacheServesRepeatedSubmission|TestCacheDiskTierSurvivesRestart|TestCorruptEntryDiscardedOnLoad|TestConcurrentIdenticalSubmissionsRunOnce|TestCacheHammer|TestATPGOneCacheEntryAcrossEngines' \
+    -race -count=1 ./internal/resultcache/ ./internal/atpg/ ./internal/service/
 
 echo "== go test -race -short (fault-sharded ATPG determinism + Theorem 1-4 metamorphic suite)"
-# -short keeps the gate fast: 12 theorem pairs and the 5-repeat
-# determinism gauntlet. The full 50-pair suite runs race-free in the
-# plain `go test ./...` tier-1 pass; drop -short here for a nightly run.
-go test -race -short -count=1 -run 'TestParallel|TestTheorem' ./internal/atpg/ ./internal/verify/
+# TestParallel* drive the speculator through its one entry point,
+# RunContext with Options.Workers set, and require byte-identity with
+# the serial run at 1/2/4/8 workers; TestTheorem* feed both engines'
+# test sets to the Theorem 4 check. -short keeps the gate fast: 12
+# theorem pairs and the 5-repeat determinism gauntlet. The full 50-pair
+# suite runs race-free in the plain `go test ./...` tier-1 pass; drop
+# -short here for a nightly run.
+named_test 'TestParallel|TestTheorem' -race -short -count=1 ./internal/atpg/ ./internal/verify/
 
 echo "== go test -race (dispatch fan-out: retry ladder, migration, degrade, byte-identity at 1/2/4 backends)"
 # The distributed chaos gate: failpoint-driven {first-try success,
@@ -63,8 +112,8 @@ echo "== go test -race (iofault chaos: ENOSPC/EIO/torn writes at journal, checkp
 # fails and the job must still complete byte-identical to a fault-free
 # run while the site's degraded signal (journal.degraded,
 # atpg.checkpoint.errors, cache.disk_errors) fires.
-go test -race -count=1 -run 'TestDurabilityFaultsNeverFailJobs|TestJournalDegraded|TestDiskBreaker|TestInjectedFaults|TestPartialWrite|TestWriteAtomic' \
-    ./internal/service/ ./internal/resultcache/ ./internal/iofault/
+named_test 'TestDurabilityFaultsNeverFailJobs|TestJournalDegraded|TestDiskBreaker|TestInjectedFaults|TestPartialWrite|TestWriteAtomic' \
+    -race -count=1 ./internal/service/ ./internal/resultcache/ ./internal/iofault/
 
 echo "== go test -race (watchdog stall smoke: wedged checkpoint write -> requeue -> byte-identical)"
 # A job wedged mid-run (blocked checkpoint write) must be detected by
@@ -73,13 +122,13 @@ echo "== go test -race (watchdog stall smoke: wedged checkpoint write -> requeue
 # every attempt must fail loudly at the attempt cap. Twenty shuffled
 # repetitions catch an abandoned attempt outliving Close and leaking
 # into the next test's failpoints.
-go test -race -count=20 -shuffle=on -run 'TestWatchdog' ./internal/service/
+named_test 'TestWatchdog' -race -count=20 -shuffle=on ./internal/service/
 
 echo "== go test -race -short (checkpoint kill/resume chaos: crash anywhere, resume, byte-identical)"
 # -short samples 3 kill points per snapshot set and workers {1,4}; the
 # plain tier-1 pass (and a nightly run without -short) widens to up to
 # 10 kill points and workers {1,2,4}.
-go test -race -short -count=1 -run 'TestCheckpoint' ./internal/atpg/
+named_test 'TestCheckpoint' -race -short -count=1 ./internal/atpg/
 
 echo "== go test -race"
 go test -race -short ./...
@@ -88,11 +137,11 @@ echo "== alloc-regression gate (steady-state Simulate must stay allocation-free)
 # Deliberately WITHOUT -race: testing.AllocsPerRun is meaningless under
 # the race detector, so these tests skip themselves there. The budgets
 # live in internal/fsim/alloc_test.go (0 serial, O(workers) parallel).
-go test -count=1 -run 'TestSimulateSteadyStateAllocs|TestSimulateParallelSteadyStateAllocs' -v ./internal/fsim/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|ok|FAIL)'
+summary named_test 'TestSimulateSteadyStateAllocs|TestSimulateParallelSteadyStateAllocs' -count=1 -v ./internal/fsim/
 
 echo "== alloc-regression gate (log ring: <= 1 alloc per record, 0 with a prebuilt string)"
 # Same -race caveat; the budget lives in internal/logger/logger_test.go.
-go test -count=1 -run 'TestLogSteadyStateAllocs' -v ./internal/logger/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|ok|FAIL)'
+summary named_test 'TestLogSteadyStateAllocs' -count=1 -v ./internal/logger/
 
 echo "== coverage floor (httpmw + logger must stay >= 90% covered)"
 # The middleware and log ring sit on every request path of both
@@ -124,21 +173,21 @@ echo "== soak smoke (concurrent mixed-kind jobs through one in-process service)"
 go run ./cmd/soak -duration 2s -submitters 2
 
 echo "== servd pprof surface (profiler mux serves index + heap off the API listener)"
-go test -count=1 -run 'TestPprofMux' ./cmd/servd/
+named_test 'TestPprofMux' -count=1 ./cmd/servd/
 
 echo "== fuzz smoke (journal replay must survive arbitrary crash residue)"
-go test -run='^$' -fuzz=FuzzJournalReplay -fuzztime=5s ./internal/service/
+fuzz_smoke FuzzJournalReplay ./internal/service/
 
 echo "== fuzz smoke (.bench parser: accepted inputs must round-trip)"
-go test -run='^$' -fuzz=FuzzParseBench -fuzztime=5s ./internal/netlist/
+fuzz_smoke FuzzParseBench ./internal/netlist/
 
 echo "== fuzz smoke (checkpoint decoder: arbitrary bytes -> clean error or canonical round-trip)"
-go test -run='^$' -fuzz=FuzzCheckpointRestore -fuzztime=5s ./internal/atpg/
+fuzz_smoke FuzzCheckpointRestore ./internal/atpg/
 
 echo "== fuzz smoke (cache entry decoder: arbitrary bytes -> typed error or canonical round-trip)"
-go test -run='^$' -fuzz=FuzzCacheEntryDecode -fuzztime=5s ./internal/resultcache/
+fuzz_smoke FuzzCacheEntryDecode ./internal/resultcache/
 
 echo "== fuzz smoke (shard wire decoder: hostile shard JSON -> clean 400 or validated round-trip)"
-go test -run='^$' -fuzz=FuzzShardWireDecode -fuzztime=5s ./internal/dispatch/
+fuzz_smoke FuzzShardWireDecode ./internal/dispatch/
 
 echo "check.sh: all green"
