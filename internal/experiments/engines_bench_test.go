@@ -23,17 +23,32 @@ import (
 
 // tableIIPair synthesizes a Table II variant and speed-retimes it the
 // way the experiment harness does.
-func tableIIPair(b *testing.B, v Variant) (orig, retimed *netlist.Circuit) {
-	b.Helper()
+func tableIIPair(tb testing.TB, v Variant) (orig, retimed *netlist.Circuit) {
+	tb.Helper()
 	c, err := v.Synthesize()
 	if err != nil {
-		b.Fatalf("synthesize %s: %v", v.Name(), err)
+		tb.Fatalf("synthesize %s: %v", v.Name(), err)
 	}
 	pair, _, _, err := SpeedRetime(c, ForwardMoves(v.Name()))
 	if err != nil {
-		b.Fatalf("retime %s: %v", v.Name(), err)
+		tb.Fatalf("retime %s: %v", v.Name(), err)
 	}
 	return pair.Original, pair.Retimed
+}
+
+// tableIIVectors is the fault-simulation stimulus for c: 512 uniformly
+// random vectors from seed 1.
+func tableIIVectors(c *netlist.Circuit) sim.Seq {
+	rng := rand.New(rand.NewSource(1))
+	seq := make(sim.Seq, 512)
+	for t := range seq {
+		vec := make(sim.Vec, len(c.Inputs))
+		for j := range vec {
+			vec[j] = logic.FromBool(rng.Intn(2) == 1)
+		}
+		seq[t] = vec
+	}
+	return seq
 }
 
 // BenchmarkTableIIFaultSim pits the event-driven production engine
@@ -44,15 +59,7 @@ func BenchmarkTableIIFaultSim(b *testing.B) {
 	for _, v := range TableIIVariants() {
 		_, c := tableIIPair(b, v)
 		faults, _ := fault.Collapse(c)
-		rng := rand.New(rand.NewSource(1))
-		seq := make(sim.Seq, 512)
-		for t := range seq {
-			vec := make(sim.Vec, len(c.Inputs))
-			for j := range vec {
-				vec[j] = logic.FromBool(rng.Intn(2) == 1)
-			}
-			seq[t] = vec
-		}
+		seq := tableIIVectors(c)
 		want := fsim.RunSequential(c, faults, seq).Detected()
 		for _, arm := range []struct {
 			name string
