@@ -64,7 +64,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	maxBody := fs.Int64("max-body", 8<<20, "request body size limit in bytes")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof and /v1/logs on this address (empty = off); keep it loopback-only")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	logBuffer := fs.Int("log-buffer", logger.DefaultCapacity, "in-memory log ring capacity in records (rounded up to a power of two)")
+	logBuffer := fs.Int("log-buffer", logger.DefaultCapacity, "in-memory log ring capacity in records, 1 to 1048576 (rounded up to a power of two)")
 	var backends multiFlag
 	fs.Var(&backends, "backend", "worker backend base URL for distributed ATPG (repeatable, e.g. -backend http://127.0.0.1:9100)")
 	fs.Usage = func() {
@@ -81,6 +81,11 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	level, err := logger.ParseLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintln(stderr, "servd:", err)
+		return 2
+	}
+	if *logBuffer < 1 || *logBuffer > logger.MaxCapacity {
+		fmt.Fprintf(stderr, "servd: -log-buffer %d outside [1, %d]\n", *logBuffer, logger.MaxCapacity)
+		fs.Usage()
 		return 2
 	}
 	cfg := service.Config{

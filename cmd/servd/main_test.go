@@ -277,6 +277,10 @@ func TestCLIMainErrors(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, 2},
 		{"extra args", []string{"stray.bench"}, 2},
 		{"help", []string{"-h"}, 2},
+		{"log buffer zero", []string{"-log-buffer", "0"}, 2},
+		{"log buffer past max", []string{"-log-buffer", "1048577"}, 2},
+		{"log buffer 2^40", []string{"-log-buffer", "1099511627776"}, 2},
+		{"log buffer near MaxInt64", []string{"-log-buffer", "5000000000000000000"}, 2},
 	}
 	for _, c := range cases {
 		var out, errw bytes.Buffer

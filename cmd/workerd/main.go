@@ -48,7 +48,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	slots := fs.Int("slots", 1, "concurrent shard slots")
 	every := fs.Int("checkpoint-every", 0, "default partial-checkpoint cadence in decided faults (0 = library default)")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	logBuffer := fs.Int("log-buffer", logger.DefaultCapacity, "in-memory log ring capacity in records (rounded up to a power of two)")
+	logBuffer := fs.Int("log-buffer", logger.DefaultCapacity, "in-memory log ring capacity in records, 1 to 1048576 (rounded up to a power of two)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: workerd [-addr :9100] [-slots n] [-checkpoint-every n] [-log-level info]\n")
 		fs.PrintDefaults()
@@ -63,6 +63,11 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	level, err := logger.ParseLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintln(stderr, "workerd:", err)
+		return 2
+	}
+	if *logBuffer < 1 || *logBuffer > logger.MaxCapacity {
+		fmt.Fprintf(stderr, "workerd: -log-buffer %d outside [1, %d]\n", *logBuffer, logger.MaxCapacity)
+		fs.Usage()
 		return 2
 	}
 	if err := serve(*addr, *slots, *every, logger.New(level, *logBuffer), stdout); err != nil {

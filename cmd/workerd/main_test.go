@@ -141,3 +141,17 @@ func TestCLIRejectsBadLogLevel(t *testing.T) {
 		t.Fatalf("stderr does not name the bad level: %s", errb.String())
 	}
 }
+
+// TestCLIRejectsBadLogBuffer: a -log-buffer outside [1, 1<<20] exits 2
+// with usage before any listener binds or any ring is allocated.
+func TestCLIRejectsBadLogBuffer(t *testing.T) {
+	for _, v := range []string{"0", "-1", "1048577", "1099511627776", "5000000000000000000"} {
+		var out, errb strings.Builder
+		if code := cliMain([]string{"-log-buffer", v}, &out, &errb); code != 2 {
+			t.Fatalf("-log-buffer %s: exit code %d, want 2; stderr: %s", v, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "-log-buffer "+v) || !strings.Contains(errb.String(), "usage:") {
+			t.Fatalf("-log-buffer %s: stderr lacks the value or usage: %s", v, errb.String())
+		}
+	}
+}

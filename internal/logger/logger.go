@@ -15,7 +15,7 @@ package logger
 
 import (
 	"fmt"
-	"io"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -84,8 +84,12 @@ type slot struct {
 	rec Record
 }
 
-// DefaultCapacity is the ring size when a caller passes 0.
-const DefaultCapacity = 4096
+// Ring sizes: DefaultCapacity when a caller passes 0, and at most
+// MaxCapacity records (the daemons' -log-buffer bound).
+const (
+	DefaultCapacity = 4096
+	MaxCapacity     = 1 << 20
+)
 
 // Logger is the ring buffer. A nil *Logger is a valid no-op logger:
 // every method is nil-safe, so wiring code never needs to guard call
@@ -98,17 +102,15 @@ type Logger struct {
 }
 
 // New returns a ring holding the most recent capacity records (rounded
-// up to a power of two; 0 selects DefaultCapacity) at or above min.
-func New(min Level, capacity int) *Logger {
+// up to a power of two, at most MaxCapacity; 0 selects DefaultCapacity)
+// at or above lv.
+func New(lv Level, capacity int) *Logger {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
+	n := 1 << bits.Len(uint(min(capacity, MaxCapacity)-1))
 	l := &Logger{slots: make([]slot, n), mask: uint64(n - 1)}
-	l.min.Store(int32(min))
+	l.min.Store(int32(lv))
 	return l
 }
 
@@ -205,40 +207,4 @@ func (l *Logger) Tail(n int) []Record {
 		out = out[len(out)-n:]
 	}
 	return out
-}
-
-// Writer bridges code that wants an io.Writer (stdlib log, command
-// output) into the ring: each newline-terminated chunk becomes one
-// record at lv. A trailing fragment without a newline is logged
-// immediately rather than buffered, so a crash cannot swallow it.
-func (l *Logger) Writer(lv Level) io.Writer { return levelWriter{l: l, lv: lv} }
-
-type levelWriter struct {
-	l  *Logger
-	lv Level
-}
-
-func (w levelWriter) Write(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		line := p
-		if i := indexByte(p, '\n'); i >= 0 {
-			line, p = p[:i], p[i+1:]
-		} else {
-			p = nil
-		}
-		if len(line) > 0 {
-			w.l.Log(w.lv, string(line))
-		}
-	}
-	return n, nil
-}
-
-func indexByte(p []byte, c byte) int {
-	for i, b := range p {
-		if b == c {
-			return i
-		}
-	}
-	return -1
 }
