@@ -20,12 +20,6 @@ import (
 type Config struct {
 	// Backends are the worker backends to fan out across.
 	Backends []Backend
-	// Shards overrides the shard count (0: ShardsPerBackend per
-	// backend). The count is always clamped to the survivor count.
-	Shards int
-	// ShardsPerBackend sets the default fan-out ratio (default 2;
-	// over-sharding keeps survivors busy when one backend dies).
-	ShardsPerBackend int
 	// MaxAttempts bounds remote attempts per shard, first try included
 	// (default 3). Exhaustion falls back to local execution.
 	MaxAttempts int
@@ -54,9 +48,12 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// shardsPerBackend is RunShards' default fan-out ratio: over-sharding
+// keeps survivors busy when one backend dies.
+const shardsPerBackend = 2
+
 // Default Config values.
 const (
-	DefaultShardsPerBackend = 2
 	DefaultMaxAttempts      = 3
 	DefaultRetryBackoff     = 50 * time.Millisecond
 	DefaultRetryBackoffCap  = 2 * time.Second
@@ -87,9 +84,6 @@ type backendState struct {
 
 // New returns a Dispatcher over cfg.Backends.
 func New(cfg Config) *Dispatcher {
-	if cfg.ShardsPerBackend <= 0 {
-		cfg.ShardsPerBackend = DefaultShardsPerBackend
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = DefaultMaxAttempts
 	}
@@ -224,21 +218,17 @@ func validShardLog(c *netlist.Circuit, faults []fault.Fault, opt atpg.Options, c
 	return true
 }
 
-// Run executes ATPG for (c, faults, opt) with the fault list fanned out
-// across the configured backends, returning a Result byte-identical to
-// a serial atpg.Run (modulo wall-clock Effort.Time; Result.Parallel is
-// nil as on a serial run). With no backends configured it simply runs
+// RunShards executes ATPG for (c, faults, opt) with the fault list
+// fanned out across the configured backends in nShards shards (0: two
+// per backend; always clamped to the survivor count), returning a
+// Result byte-identical to a serial atpg.Run (modulo wall-clock
+// Effort.Time; Result.Parallel is nil as on a serial run). The shard
+// count is result-neutral. With no backends configured it simply runs
 // locally. Shard failures retry with capped jittered backoff; a dead
 // backend's partial work migrates to a survivor via its last validated
 // checkpoint; when no backend is usable the shard degrades to local
-// in-process execution, so Run only fails on context cancellation or
-// invalid input.
-func (d *Dispatcher) Run(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt atpg.Options) (*atpg.Result, error) {
-	return d.RunShards(ctx, c, faults, opt, 0)
-}
-
-// RunShards is Run with a per-call shard-count override (0 keeps the
-// configured fan-out). Shard count is result-neutral.
+// in-process execution, so RunShards only fails on context
+// cancellation or invalid input.
 func (d *Dispatcher) RunShards(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt atpg.Options, nShards int) (*atpg.Result, error) {
 	if len(d.backends) == 0 {
 		return atpg.RunContext(ctx, c, faults, opt)
@@ -296,10 +286,7 @@ func (d *Dispatcher) partition(survivors []fault.Fault, nShards int) []*shardRun
 	}
 	n := nShards
 	if n <= 0 {
-		n = d.cfg.Shards
-	}
-	if n <= 0 {
-		n = d.cfg.ShardsPerBackend * len(d.backends)
+		n = shardsPerBackend * len(d.backends)
 	}
 	if n > len(survivors) {
 		n = len(survivors)

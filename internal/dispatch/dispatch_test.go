@@ -82,7 +82,7 @@ func TestDispatchByteIdentical(t *testing.T) {
 		}
 		reg := metrics.NewRegistry()
 		d := New(testConfig(locals(names...), reg))
-		got, err := d.Run(context.Background(), c, reps, opt)
+		got, err := d.RunShards(context.Background(), c, reps, opt, 0)
 		if err != nil {
 			t.Fatalf("backends=%d: %v", n, err)
 		}
@@ -125,7 +125,7 @@ func TestDispatchRetryLadder(t *testing.T) {
 	t.Run("first-try-success", func(t *testing.T) {
 		reg := metrics.NewRegistry()
 		d := New(testConfig(locals("A", "B"), reg))
-		got, err := d.Run(ctx, c, reps, opt)
+		got, err := d.RunShards(ctx, c, reps, opt, 0)
 		check(t, got, err)
 		if r := reg.Counter("dispatch.retries").Value(); r != 0 {
 			t.Fatalf("clean run retried %d times", r)
@@ -143,7 +143,6 @@ func TestDispatchRetryLadder(t *testing.T) {
 		cfg := testConfig(locals("A"), reg)
 		cfg.BreakerThreshold = 5 // keep A pickable through the failures
 		cfg.MaxAttempts = 3
-		cfg.Shards = 1
 		fails := 0
 		failpoint.Enable(FailpointBackendPrefix+"A", func() error {
 			if fails < 2 {
@@ -154,7 +153,7 @@ func TestDispatchRetryLadder(t *testing.T) {
 		})
 		defer failpoint.Disable(FailpointBackendPrefix + "A")
 		d := New(cfg)
-		got, err := d.Run(ctx, c, reps, opt)
+		got, err := d.RunShards(ctx, c, reps, opt, 1)
 		check(t, got, err)
 		if r := reg.Counter("dispatch.retries").Value(); r != 2 {
 			t.Fatalf("dispatch.retries=%d, want 2", r)
@@ -172,7 +171,6 @@ func TestDispatchRetryLadder(t *testing.T) {
 		// injection counter proves the decided prefix is not recomputed.
 		reg := metrics.NewRegistry()
 		cfg := testConfig(locals("A", "B"), reg)
-		cfg.Shards = 1
 		d := New(cfg)
 		survivors, err := atpg.RandomSurvivors(ctx, c, reps, opt)
 		if err != nil {
@@ -190,7 +188,7 @@ func TestDispatchRetryLadder(t *testing.T) {
 			return nil
 		})
 		defer failpoint.Disable(atpg.FailpointShardFault)
-		got, err := d.Run(ctx, c, reps, opt)
+		got, err := d.RunShards(ctx, c, reps, opt, 1)
 		check(t, got, err)
 		if m := reg.Counter("dispatch.migrations").Value(); m != 1 {
 			t.Fatalf("dispatch.migrations=%d, want 1", m)
@@ -219,7 +217,7 @@ func TestDispatchRetryLadder(t *testing.T) {
 			failpoint.Enable(name, failpoint.Errorf("chaos: backend down"))
 			defer failpoint.Disable(name)
 		}
-		got, err := d.Run(ctx, c, reps, opt)
+		got, err := d.RunShards(ctx, c, reps, opt, 0)
 		check(t, got, err)
 		if g := reg.Counter("dispatch.degraded").Value(); g < 1 {
 			t.Fatal("no shard degraded with every backend down")
@@ -248,7 +246,7 @@ func TestHeartbeatOpensBreaker(t *testing.T) {
 	failpoint.Enable(name, failpoint.Errorf("chaos: torn heartbeat"))
 	defer failpoint.Disable(name)
 
-	got, err := d.Run(context.Background(), c, reps, opt)
+	got, err := d.RunShards(context.Background(), c, reps, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +264,7 @@ func TestDispatchNoBackends(t *testing.T) {
 	opt := testOptions()
 	want := atpg.Run(c, reps, opt)
 	d := New(Config{})
-	got, err := d.Run(context.Background(), c, reps, opt)
+	got, err := d.RunShards(context.Background(), c, reps, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +280,7 @@ func TestDispatchCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	d := New(testConfig(locals("A"), metrics.NewRegistry()))
-	if _, err := d.Run(ctx, c, reps, testOptions()); !errors.Is(err, context.Canceled) {
+	if _, err := d.RunShards(ctx, c, reps, testOptions(), 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

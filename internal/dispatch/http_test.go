@@ -46,7 +46,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := testConfig([]Backend{newTestWorker(t, nil), newTestWorker(t, nil)}, reg)
 	d := New(cfg)
-	got, err := d.Run(context.Background(), c, reps, opt)
+	got, err := d.RunShards(context.Background(), c, reps, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +85,8 @@ func TestWorkerDiesMidRun(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	cfg := testConfig([]Backend{dying, healthy}, reg)
-	cfg.Shards = 1
 	d := New(cfg)
-	got, err := d.Run(context.Background(), c, reps, opt)
+	got, err := d.RunShards(context.Background(), c, reps, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +123,8 @@ func TestTornHeartbeatTolerated(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	cfg := testConfig([]Backend{flaky}, reg)
-	cfg.Shards = 1 // one poll stream, so "every other" is per-attempt
 	d := New(cfg)
-	got, err := d.Run(context.Background(), c, reps, opt)
+	got, err := d.RunShards(context.Background(), c, reps, opt, 1) // one poll stream, so "every other" is per-attempt
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +175,8 @@ func TestPoisonedResponseRejected(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := testConfig([]Backend{b}, reg)
 	cfg.MaxAttempts = 2
-	cfg.Shards = 1
 	d := New(cfg)
-	got, err := d.Run(context.Background(), c, reps, opt)
+	got, err := d.RunShards(context.Background(), c, reps, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +218,10 @@ func TestSlowBackendDeadline(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	cfg := testConfig([]Backend{slow, healthy}, reg)
-	cfg.Shards = 1
 	cfg.ShardTimeout = 50 * time.Millisecond
 	d := New(cfg)
 	start := time.Now()
-	got, err := d.Run(context.Background(), c, reps, opt)
+	got, err := d.RunShards(context.Background(), c, reps, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

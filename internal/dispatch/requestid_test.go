@@ -50,7 +50,7 @@ func TestRequestIDReachesWorker(t *testing.T) {
 	cfg := testConfig([]Backend{b}, reg)
 	d := New(cfg)
 	const reqID = "REQ123TEST"
-	got, err := d.Run(httpmw.ContextWithID(context.Background(), reqID), c, reps, opt)
+	got, err := d.RunShards(httpmw.ContextWithID(context.Background(), reqID), c, reps, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
