@@ -14,9 +14,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Engine records on the paper's circuits. Neither benchmark is in
-// scripts/bench.sh's default pattern: one pass takes about a minute.
-// Run them with, for example,
+// Engine records on the paper's circuits. One pass takes about a
+// minute, so the cost ledger (ledger_test.go) pins their
+// machine-independent counters and these benchmarks only produce
+// wall-clock records. Run them with, for example,
 //
 //	go test -run '^$' -bench BenchmarkTableIIFaultSim -benchtime 1x -count 5 -cpu 1 ./internal/experiments/
 //	go test -run '^$' -bench BenchmarkFig6ColdSpeculation -benchtime 1x -count 3 ./internal/experiments/

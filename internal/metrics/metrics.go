@@ -184,7 +184,7 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot captures count/sum/max/mean and the p50/p95/p99 quantile
-// estimates in one call — what cmd/soak and /metrics render.
+// estimates in one call.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	return HistogramSnapshot{
 		Count: h.Count(),

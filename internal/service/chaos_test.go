@@ -468,61 +468,83 @@ func TestShutdownCutShort(t *testing.T) {
 // TestConcurrentSubmitCancelGet hammers the public API from many
 // goroutines (run under -race in check.sh): every accepted job must
 // reach exactly one terminal state, and the terminal-state metrics must
-// sum to the number of accepted jobs.
+// sum to the number of accepted jobs. The second input submits all
+// four job kinds at once with the result cache off, so every job runs
+// its full pipeline concurrently with the others.
 func TestConcurrentSubmitCancelGet(t *testing.T) {
-	base := runtime.NumGoroutine()
-	s := New(Config{Workers: 4, QueueDepth: 64, DefaultTimeout: time.Minute})
-	const clients = 8
-	const perClient = 5
-	var mu sync.Mutex
-	var accepted []string
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				id, err := s.Submit(quickRequest())
-				if err != nil {
-					continue // queue full under load is fine
-				}
-				mu.Lock()
-				accepted = append(accepted, id)
-				mu.Unlock()
-				if (c+i)%3 == 0 {
-					s.Cancel(id)
-				}
-				s.Get(id)
-				s.List()
+	bench := netlist.BenchString(netlist.Fig2C1())
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+		reqs       []Request
+	}{
+		{"retime", 0, []Request{quickRequest()}},
+		{"all-kinds-cache-off", -1, []Request{
+			{Kind: KindRetime, Bench: bench},
+			{Kind: KindATPG, Bench: bench},
+			{Kind: KindFaultSim, Bench: bench, Tests: "01,11,00,10"},
+			{Kind: KindDeriveTests, Bench: bench},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			s := New(Config{Workers: 4, QueueDepth: 64, DefaultTimeout: time.Minute, CacheBytes: tc.cacheBytes})
+			const clients = 8
+			const perClient = 5
+			var mu sync.Mutex
+			var accepted []string
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < perClient; i++ {
+						id, err := s.Submit(tc.reqs[(c+i)%len(tc.reqs)])
+						if err != nil {
+							continue // queue full under load is fine
+						}
+						mu.Lock()
+						accepted = append(accepted, id)
+						mu.Unlock()
+						if (c+i)%3 == 0 {
+							s.Cancel(id)
+						}
+						s.Get(id)
+						s.List()
+					}
+				}(c)
 			}
-		}(c)
-	}
-	wg.Wait()
+			wg.Wait()
 
-	done, cancelled := 0, 0
-	for _, id := range accepted {
-		v := waitDone(t, s, id)
-		switch v.Status {
-		case StatusDone:
-			done++
-		case StatusCancelled:
-			cancelled++
-		default:
-			t.Fatalf("job %s ended %s: %s", id, v.Status, v.Error)
-		}
+			done, cancelled := 0, 0
+			for _, id := range accepted {
+				v := waitDone(t, s, id)
+				switch v.Status {
+				case StatusDone:
+					done++
+				case StatusCancelled:
+					cancelled++
+				default:
+					t.Fatalf("job %s ended %s: %s", id, v.Status, v.Error)
+				}
+			}
+			reg := s.Metrics()
+			var got int64
+			for _, k := range Kinds() {
+				got += reg.Counter("jobs.done."+string(k)).Value() +
+					reg.Counter("jobs.cancelled."+string(k)).Value() +
+					reg.Counter("jobs.failed."+string(k)).Value()
+			}
+			if got != int64(len(accepted)) {
+				t.Fatalf("terminal metrics sum %d, accepted %d (lost or duplicated terminal states)", got, len(accepted))
+			}
+			if done+cancelled != len(accepted) {
+				t.Fatalf("done %d + cancelled %d != accepted %d", done, cancelled, len(accepted))
+			}
+			s.Close()
+			settleGoroutines(t, base)
+		})
 	}
-	reg := s.Metrics()
-	got := reg.Counter("jobs.done.retime").Value() +
-		reg.Counter("jobs.cancelled.retime").Value() +
-		reg.Counter("jobs.failed.retime").Value()
-	if got != int64(len(accepted)) {
-		t.Fatalf("terminal metrics sum %d, accepted %d (lost or duplicated terminal states)", got, len(accepted))
-	}
-	if done+cancelled != len(accepted) {
-		t.Fatalf("done %d + cancelled %d != accepted %d", done, cancelled, len(accepted))
-	}
-	s.Close()
-	settleGoroutines(t, base)
 }
 
 // waitStatus polls until the job reports the wanted status.

@@ -1,29 +1,20 @@
 #!/bin/sh
-# bench-json.sh — convert `go test -bench` output (benchmarks/latest.txt
-# by default, or the file named in $1) to a JSON object keyed by
-# benchmark name:
+# bench-json.sh — convert `go test -bench` output (the file named in $1,
+# or stdin) to a JSON object keyed by benchmark name:
 #
 #   {"BenchmarkFsimEventDriven": {"ns_per_op": 18240768,
 #                                 "bytes_per_op": 966593,
 #                                 "allocs_per_op": 320}, ...}
 #
 # Missing -benchmem columns are reported as null. A "# host: ..."
-# comment line (written by bench.sh) becomes a "_host" entry, so every
-# JSON record states the core count its numbers were measured on.
-# Multi-core matrix rows keep the go-test name suffixes
-# (BenchmarkFoo/procs=2-4 etc.), so one file can hold the whole -cpu
-# matrix without collisions. The committed BENCH_fsim.json is produced
-# with
+# comment line becomes a "_host" entry, so a JSON record can state the
+# core count its numbers were measured on. Multi-core matrix rows keep
+# the go-test name suffixes (BenchmarkFoo/procs=2-4 etc.), so one file
+# can hold a whole -cpu matrix without collisions. For example:
 #
-#   scripts/bench-json.sh benchmarks/latest.txt > BENCH_fsim.json
+#   { echo "# host: $(nproc) vCPU"; go test -run '^$' -bench . -benchmem ./internal/fsim/; } |
+#       scripts/bench-json.sh
 set -eu
-cd "$(dirname "$0")/.."
-
-IN="${1:-benchmarks/latest.txt}"
-if [ ! -f "$IN" ]; then
-    echo "bench-json: $IN missing; run scripts/bench.sh first" >&2
-    exit 1
-fi
 
 awk '
     /^# host: / {
@@ -38,7 +29,7 @@ awk '
             if ($(i + 1) == "B/op")     bytes = $i
             if ($(i + 1) == "allocs/op") allocs = $i
         }
-        # Last run of a repeated benchmark wins, matching bench-compare.
+        # Last run of a repeated benchmark wins.
         row[name] = sprintf("  %c%s%c: {%cns_per_op%c: %s, %cbytes_per_op%c: %s, %callocs_per_op%c: %s}",
             34, name, 34, 34, 34, ns, 34, 34, bytes, 34, 34, allocs)
         if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
@@ -51,4 +42,4 @@ awk '
             printf "%s%s\n", row[order[i]], (i < n ? "," : "")
         print "}"
     }
-' "$IN"
+' "$@"

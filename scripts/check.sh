@@ -133,6 +133,14 @@ named_test 'TestCheckpoint' -race -short -count=1 ./internal/atpg/
 echo "== go test -race"
 go test -race -short ./...
 
+echo "== cost ledger (gate evaluations, backtracks, fsim work pinned to golden literals)"
+# The machine-independent regression gate: TestCostLedger pins the ATPG
+# dropping workload, the 16 Table II fault simulations and four Fig. 6
+# flows to exact counters. Two GOMAXPROCS values check that the
+# counters do not depend on the core count. Wall-clock regressions are
+# judged only by benchmarks/e2e -compare over alternating pairs.
+named_test 'TestCostLedger' -count=1 -cpu 1,2 ./internal/experiments/
+
 echo "== alloc-regression gate (steady-state Simulate must stay allocation-free)"
 # Deliberately WITHOUT -race: testing.AllocsPerRun is meaningless under
 # the race detector, so these tests skip themselves there. The budgets
@@ -169,8 +177,12 @@ go test -count=1 -cover ./internal/iofault/ ./internal/retry/ ./internal/frame/ 
     }
     END { if (bad) { print "coverage below 90% floor" > "/dev/stderr"; exit 1 } }'
 
-echo "== soak smoke (concurrent mixed-kind jobs through one in-process service)"
-go run ./cmd/soak -duration 2s -submitters 2
+echo "== e2e smoke (servd over real HTTP: fill the cache with fig6_hot, then 20 verified hits)"
+# The benchmark module's suite, run without -short because TestHotSmoke
+# skips itself under -short: it builds servd, fills the cache with the
+# four fig6_hot requests and checks 20 repeat submissions against them,
+# the same path benchmarks/e2e/run.sh measures.
+(cd benchmarks/e2e && go test -count=1 .)
 
 echo "== servd pprof surface (profiler mux serves index + heap off the API listener)"
 named_test 'TestPprofMux' -count=1 ./cmd/servd/
