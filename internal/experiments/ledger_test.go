@@ -263,7 +263,6 @@ func TestCostLedger(t *testing.T) {
 	}
 	pinned := make(map[key]bool, len(costLedger))
 	table := make([]ledgerRow, 0, len(costLedger))
-	bad := false
 	for _, r := range costLedger {
 		k := key{r.workload, r.counter}
 		pinned[k] = true
@@ -274,7 +273,6 @@ func TestCostLedger(t *testing.T) {
 		}
 		if v != r.want {
 			t.Errorf("%s %s = %d, ledger pins %d", r.workload, r.counter, v, r.want)
-			bad = true
 		}
 		table = append(table, ledgerRow{r.workload, r.counter, v})
 	}
@@ -282,10 +280,9 @@ func TestCostLedger(t *testing.T) {
 		if !pinned[key{r.workload, r.counter}] {
 			t.Errorf("%s %s = %d is not in the ledger", r.workload, r.counter, r.want)
 			table = append(table, r)
-			bad = true
 		}
 	}
-	if bad {
+	if t.Failed() {
 		var b strings.Builder
 		b.WriteString("var costLedger = []ledgerRow{\n")
 		for _, r := range table {
