@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atpg"
 	"repro/internal/netlist"
 )
 
@@ -102,14 +103,12 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestRunResumeDiscardsGarbage: -resume over a rotten checkpoint file
-// notes the discard and still completes with the clean-run output.
+// TestRunResumeDiscardsGarbage: resuming over an unusable checkpoint
+// file -- rotten bytes, or a well-formed log that diverges during
+// replay -- notes the discard and still completes with the clean-run
+// output.
 func TestRunResumeDiscardsGarbage(t *testing.T) {
 	path := writeBench(t, netlist.Fig5N1())
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := os.WriteFile(ckpt, []byte("not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	cfg := defaultConfig()
 	cfg.random = false
 	var want bytes.Buffer
@@ -117,18 +116,46 @@ func TestRunResumeDiscardsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg.checkpoint = ckpt
-	cfg.every = 1
-	cfg.resume = true
-	var out, errw bytes.Buffer
-	if err := run(path, cfg, &out, &errw); err != nil {
+	// A complete checkpoint with two decisions swapped keeps its
+	// identity hashes but no longer replays against this run.
+	complete := filepath.Join(t.TempDir(), "complete.ckpt")
+	ccfg := cfg
+	ccfg.checkpoint = complete
+	ccfg.every = 1
+	if err := run(path, ccfg, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errw.String(), "ignoring unusable checkpoint") {
-		t.Fatalf("no discard note:\n%s", errw.String())
+	ck, err := atpg.LoadCheckpoint(complete)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.String() != want.String() {
-		t.Fatal("post-discard run emitted a different test set")
+	if len(ck.Decided) < 2 {
+		t.Fatalf("checkpoint has %d decisions, need 2 to swap", len(ck.Decided))
+	}
+	ck.Decided[0], ck.Decided[1] = ck.Decided[1], ck.Decided[0]
+
+	for name, data := range map[string][]byte{
+		"garbage":   []byte("not a checkpoint"),
+		"divergent": ck.Encode(),
+	} {
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rcfg := cfg
+		rcfg.checkpoint = ckpt
+		rcfg.every = 1
+		rcfg.resume = true
+		var out, errw bytes.Buffer
+		if err := run(path, rcfg, &out, &errw); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(errw.String(), "ignoring unusable checkpoint") {
+			t.Fatalf("%s: no discard note:\n%s", name, errw.String())
+		}
+		if out.String() != want.String() {
+			t.Fatalf("%s: post-discard run emitted a different test set", name)
+		}
 	}
 }
 

@@ -287,3 +287,59 @@ func TestCheckpointMismatchFailsRun(t *testing.T) {
 		t.Fatalf("foreign checkpoint accepted: %v", err)
 	}
 }
+
+// TestCheckpointDivergentFileRerunsClean: a file at Checkpoint.Path
+// that passes its identity hashes but whose decision log diverges
+// during replay (one written by an earlier engine, say) is discarded
+// and the run redone clean once: nil error, the clean Result, the file
+// rewritten with the clean log, and OnResume seeing the resume and
+// then the discard.
+func TestCheckpointDivergentFileRerunsClean(t *testing.T) {
+	c := netlist.Fig5N1()
+	opt := checkpointOptions()
+	opt.RandomPhase = false // every fault is a decision log entry
+	reps, _ := fault.Collapse(c)
+	want := Run(c, reps, opt)
+	_, snaps := capturedRun(t, c, opt)
+	complete := snaps[len(snaps)-1]
+	ck, err := DecodeCheckpoint(complete)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Decided) < 2 {
+		t.Fatalf("checkpoint has %d decisions, need 2 to swap", len(ck.Decided))
+	}
+	ck.Decided[0], ck.Decided[1] = ck.Decided[1], ck.Decided[0]
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := ck.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		resumed bool
+		err     error
+	}
+	var seen []outcome
+	opt.Checkpoint = CheckpointConfig{
+		Path:     path,
+		OnResume: func(resumed bool, err error) { seen = append(seen, outcome{resumed, err}) },
+	}
+	got, err := RunContext(context.Background(), c, reps, opt)
+	if err != nil {
+		t.Fatalf("divergent checkpoint failed the run: %v", err)
+	}
+	if !reflect.DeepEqual(normalize(want), normalize(got)) {
+		t.Fatal("post-discard result differs from a clean run")
+	}
+	if len(seen) != 2 || !seen[0].resumed || seen[0].err != nil ||
+		seen[1].resumed || !errors.Is(seen[1].err, ErrCheckpointMismatch) {
+		t.Fatalf("OnResume saw %v, want [{true <nil>} {false mismatch}]", seen)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("checkpoint not rewritten: %v", err)
+	}
+	if !bytes.Equal(data, complete) {
+		t.Fatal("rewritten checkpoint differs from the clean run's log")
+	}
+}

@@ -160,6 +160,23 @@ func TestFacadeATPGWithCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(again.Status, first.Status) {
 		t.Fatal("resumed fault statuses differ from the original run")
 	}
+
+	// A file that passes its identity hashes but whose decision log
+	// diverges during replay is discarded and the run redone clean.
+	if len(ck.Decided) < 2 {
+		t.Fatalf("checkpoint has %d decisions, need 2 to swap", len(ck.Decided))
+	}
+	ck.Decided[0], ck.Decided[1] = ck.Decided[1], ck.Decided[0]
+	if err := ck.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := ATPGWithCheckpoint(context.Background(), c, faults, opt, path, 1)
+	if err != nil {
+		t.Fatalf("divergent checkpoint failed the run: %v", err)
+	}
+	if !reflect.DeepEqual(clean.TestSet, first.TestSet) {
+		t.Fatal("post-discard test set differs from the original run")
+	}
 }
 
 // TestFacadeATPGCached exercises the result-cache entry points: a cold
