@@ -1,6 +1,9 @@
 // Command atpg runs the sequential structural test generator on a
 // bench-format circuit and writes the generated test set (one vector
 // per line) to stdout; coverage and effort statistics go to stderr.
+// With -checkpoint the run persists its progress to that file and,
+// when the file already holds a usable log of the same run, resumes
+// from it; the test set is the one a fresh run would emit.
 package main
 
 import (
@@ -32,7 +35,6 @@ type runConfig struct {
 	timeout    time.Duration
 	checkpoint string
 	every      int
-	resume     bool
 	cacheDir   string
 }
 
@@ -48,9 +50,8 @@ func cliMain(args []string, stderr io.Writer) int {
 	fs.BoolVar(&cfg.random, "random", true, "run the random-sequence pre-phase")
 	fs.IntVar(&cfg.workers, "workers", 1, "fault-shard workers for the deterministic phase (output is identical at any count)")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "wall-clock budget (0 = unlimited); partial results are still reported")
-	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "durable checkpoint file; written atomically as faults are decided")
+	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "durable checkpoint file; written atomically as faults are decided, resumed from when it holds a usable prior run")
 	fs.IntVar(&cfg.every, "checkpoint-every", atpg.DefaultCheckpointEvery, "checkpoint cadence in decided faults")
-	fs.BoolVar(&cfg.resume, "resume", false, "resume from -checkpoint if it holds a usable prior run")
 	fs.StringVar(&cfg.cacheDir, "cache-dir", "", "content-addressed result cache directory; an identical prior run is served from it without generating")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: atpg [flags] in.bench\n")
@@ -60,11 +61,6 @@ func cliMain(args []string, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fs.Usage()
-		return 2
-	}
-	if cfg.resume && cfg.checkpoint == "" {
-		fmt.Fprintln(stderr, "atpg: -resume requires -checkpoint")
 		fs.Usage()
 		return 2
 	}
@@ -93,18 +89,19 @@ func run(path string, cfg runConfig, stdout, stderr io.Writer) error {
 	opt.RandomPhase = cfg.random
 	opt.Workers = cfg.workers
 	if cfg.checkpoint != "" {
-		opt.Checkpoint.Path = cfg.checkpoint
-		opt.Checkpoint.Every = cfg.every
-	}
-	if cfg.resume {
 		// A usable checkpoint seeds the run with the prior decisions; an
 		// unusable one (corrupt, version skew, different circuit or
-		// options) is discarded with a note and the run starts clean.
-		if resumed, discarded := atpg.TryResume(&opt, c, reps); resumed {
-			fmt.Fprintf(stderr, "atpg: resuming from %s (%d of %d faults already decided)\n",
-				cfg.checkpoint, len(opt.Checkpoint.ResumeFrom.Decided), len(reps))
-		} else if discarded != nil {
-			fmt.Fprintf(stderr, "atpg: ignoring unusable checkpoint %s: %v\n", cfg.checkpoint, discarded)
+		// options, or a log that diverges on replay) is discarded with a
+		// note and the run starts clean. Either way the test set is the
+		// one a fresh run emits.
+		opt.Checkpoint.Path = cfg.checkpoint
+		opt.Checkpoint.Every = cfg.every
+		opt.Checkpoint.OnResume = func(resumed bool, err error) {
+			if resumed {
+				fmt.Fprintf(stderr, "atpg: resuming from %s\n", cfg.checkpoint)
+			} else {
+				fmt.Fprintf(stderr, "atpg: ignoring unusable checkpoint %s: %v\n", cfg.checkpoint, err)
+			}
 		}
 	}
 
@@ -137,7 +134,7 @@ func run(path string, cfg runConfig, stdout, stderr io.Writer) error {
 		reportPrefix(stderr, res, len(reps))
 		if cfg.checkpoint != "" {
 			if _, statErr := os.Stat(cfg.checkpoint); statErr == nil {
-				fmt.Fprintf(stderr, "atpg: checkpoint written to %s; rerun with -resume to continue\n", cfg.checkpoint)
+				fmt.Fprintf(stderr, "atpg: checkpoint written to %s; rerun with the same -checkpoint to continue\n", cfg.checkpoint)
 			}
 		}
 	}

@@ -90,7 +90,6 @@ func TestRunCheckpointResume(t *testing.T) {
 		t.Fatalf("no checkpoint written: %v", err)
 	}
 
-	cfg.resume = true
 	var out, errw bytes.Buffer
 	if err := run(path, cfg, &out, &errw); err != nil {
 		t.Fatal(err)
@@ -103,7 +102,7 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestRunResumeDiscardsGarbage: resuming over an unusable checkpoint
+// TestRunResumeDiscardsGarbage: -checkpoint over an unusable checkpoint
 // file -- rotten bytes, or a well-formed log that diverges during
 // replay -- notes the discard and still completes with the clean-run
 // output.
@@ -145,7 +144,6 @@ func TestRunResumeDiscardsGarbage(t *testing.T) {
 		rcfg := cfg
 		rcfg.checkpoint = ckpt
 		rcfg.every = 1
-		rcfg.resume = true
 		var out, errw bytes.Buffer
 		if err := run(path, rcfg, &out, &errw); err != nil {
 			t.Fatal(err)
@@ -156,18 +154,6 @@ func TestRunResumeDiscardsGarbage(t *testing.T) {
 		if out.String() != want.String() {
 			t.Fatalf("%s: post-discard run emitted a different test set", name)
 		}
-	}
-}
-
-// TestResumeRequiresCheckpointFlag: -resume without -checkpoint is a
-// usage error, not a silent no-op.
-func TestResumeRequiresCheckpointFlag(t *testing.T) {
-	var errw bytes.Buffer
-	if code := cliMain([]string{"-resume", "in.bench"}, &errw); code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(errw.String(), "-resume requires -checkpoint") {
-		t.Fatalf("missing usage message:\n%s", errw.String())
 	}
 }
 

@@ -83,8 +83,22 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "servd:", err)
 		return 2
 	}
-	if *logBuffer < 1 || *logBuffer > logger.MaxCapacity {
-		fmt.Fprintf(stderr, "servd: -log-buffer %d outside [1, %d]\n", *logBuffer, logger.MaxCapacity)
+	// Out-of-range values are usage errors, never silently replaced:
+	// the service would swap a zero queue or timeout for its default,
+	// and a body limit below 1 would turn the limit off.
+	var bad string
+	switch {
+	case *logBuffer < 1 || *logBuffer > logger.MaxCapacity:
+		bad = fmt.Sprintf("-log-buffer %d outside [1, %d]", *logBuffer, logger.MaxCapacity)
+	case *queue < 1:
+		bad = fmt.Sprintf("-queue %d must be at least 1", *queue)
+	case *timeout <= 0:
+		bad = fmt.Sprintf("-timeout %v must be positive", *timeout)
+	case *maxBody < 1:
+		bad = fmt.Sprintf("-max-body %d must be at least 1", *maxBody)
+	}
+	if bad != "" {
+		fmt.Fprintln(stderr, "servd:", bad)
 		fs.Usage()
 		return 2
 	}

@@ -281,6 +281,12 @@ func TestCLIMainErrors(t *testing.T) {
 		{"log buffer past max", []string{"-log-buffer", "1048577"}, 2},
 		{"log buffer 2^40", []string{"-log-buffer", "1099511627776"}, 2},
 		{"log buffer near MaxInt64", []string{"-log-buffer", "5000000000000000000"}, 2},
+		{"max body zero", []string{"-max-body", "0"}, 2},
+		{"max body negative", []string{"-max-body", "-1"}, 2},
+		{"queue zero", []string{"-queue", "0"}, 2},
+		{"queue negative", []string{"-queue", "-3"}, 2},
+		{"timeout zero", []string{"-timeout", "0"}, 2},
+		{"timeout negative", []string{"-timeout", "-1s"}, 2},
 	}
 	for _, c := range cases {
 		var out, errw bytes.Buffer

@@ -46,11 +46,10 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":9100", "listen address (use :0 for an ephemeral port)")
 	slots := fs.Int("slots", 1, "concurrent shard slots")
-	every := fs.Int("checkpoint-every", 0, "default partial-checkpoint cadence in decided faults (0 = library default)")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	logBuffer := fs.Int("log-buffer", logger.DefaultCapacity, "in-memory log ring capacity in records, 1 to 1048576 (rounded up to a power of two)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: workerd [-addr :9100] [-slots n] [-checkpoint-every n] [-log-level info]\n")
+		fmt.Fprintf(stderr, "usage: workerd [-addr :9100] [-slots n] [-log-level info] [-log-buffer n]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -70,7 +69,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := serve(*addr, *slots, *every, logger.New(level, *logBuffer), stdout); err != nil {
+	if err := serve(*addr, *slots, logger.New(level, *logBuffer), stdout); err != nil {
 		fmt.Fprintln(stderr, "workerd:", err)
 		return 1
 	}
@@ -91,13 +90,12 @@ func buildHandler(w *dispatch.Worker, lg *logger.Logger, reg *metrics.Registry) 
 	})(mux)
 }
 
-func serve(addr string, slots, every int, lg *logger.Logger, stdout io.Writer) error {
+func serve(addr string, slots int, lg *logger.Logger, stdout io.Writer) error {
 	reg := metrics.NewRegistry()
 	w := dispatch.NewWorker(dispatch.WorkerConfig{
-		MaxConcurrent:   slots,
-		CheckpointEvery: every,
-		Metrics:         reg,
-		Logger:          lg,
+		MaxConcurrent: slots,
+		Metrics:       reg,
+		Logger:        lg,
 	})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -14,11 +14,13 @@ package atpg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/fsim"
+	"repro/internal/iofault"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -193,11 +195,32 @@ func RunContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, o
 	return runMerge(ctx, c, faults, opt, nil)
 }
 
-// runMerge is the deterministic merge loop behind RunContext and
-// RunContextWithCandidates: a non-nil lookup supplies precomputed
-// per-fault PODEM candidates (distributed shard results) in place of
-// inline generation or local speculation.
+// runMerge runs the deterministic merge loop behind RunContext and
+// RunContextWithCandidates under the one resume policy: with a
+// Checkpoint.Path and no ResumeFrom installed, a usable file at Path
+// is resumed from (tryResume). The identity hashes cover the run's
+// inputs, not the engine, so a file that validates can still diverge
+// during replay -- one written by an earlier build, say: it is then
+// discarded, reported through OnResume, and the run redone clean once.
+// An explicitly installed ResumeFrom still fails on a mismatch.
 func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup) (*Result, error) {
+	resumed, _ := tryResume(&opt, c, faults)
+	res, err := merge(ctx, c, faults, opt, lookup)
+	if resumed && errors.Is(err, ErrCheckpointMismatch) {
+		iofault.Discard(opt.Checkpoint.Path)
+		if opt.Checkpoint.OnResume != nil {
+			opt.Checkpoint.OnResume(false, err)
+		}
+		opt.Checkpoint.ResumeFrom = nil
+		return merge(ctx, c, faults, opt, lookup)
+	}
+	return res, err
+}
+
+// merge is the deterministic merge loop: a non-nil lookup supplies
+// precomputed per-fault PODEM candidates (distributed shard results)
+// in place of inline generation or local speculation.
+func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup) (*Result, error) {
 	start := time.Now()
 	res := &Result{
 		Circuit: c,

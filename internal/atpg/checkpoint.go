@@ -84,14 +84,17 @@ type CheckpointConfig struct {
 	// the generator goroutine; the *Checkpoint is live engine state and
 	// must not be retained or mutated -- call Encode to snapshot it.
 	OnWrite func(ck *Checkpoint, err error)
-	// OnResume, when set, observes the outcome of TryResume: resumed
-	// reports whether a checkpoint was installed, err why an existing
-	// file was discarded instead (nil when there was no file at all).
+	// OnResume, when set, observes what the run did with an existing
+	// file at Path: resumed reports that it was installed, err why it
+	// was not used instead. It is not called when there is no file. A
+	// file that validates but diverges during replay is reported twice:
+	// (true, nil), then (false, err wrapping ErrCheckpointMismatch).
 	OnResume func(resumed bool, err error)
 	// ResumeFrom, when non-nil, replays the checkpoint's decision log
-	// before deterministic generation starts. It must validate against
-	// the run's circuit, fault list and options (see Validate);
-	// RunContext fails with ErrCheckpointMismatch otherwise.
+	// before deterministic generation starts, and the file at Path is
+	// not consulted. It must validate against the run's circuit, fault
+	// list and options (see Validate); RunContext fails with
+	// ErrCheckpointMismatch otherwise.
 	ResumeFrom *Checkpoint
 }
 
@@ -301,7 +304,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return DecodeCheckpoint(data)
 }
 
-// TryResume loads the checkpoint at opt.Checkpoint.Path, validates it
+// tryResume loads the checkpoint at opt.Checkpoint.Path, validates it
 // against this run, and installs it as opt.Checkpoint.ResumeFrom. A
 // missing file is a clean fresh start (false, nil). A file whose
 // content cannot be used -- torn, corrupt, wrong version, or from a
@@ -313,7 +316,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // attempt can still use, and a transient device error must never
 // destroy it. No-op when no path is configured or a ResumeFrom is
 // already installed.
-func TryResume(opt *Options, c *netlist.Circuit, faults []fault.Fault) (resumed bool, discarded error) {
+func tryResume(opt *Options, c *netlist.Circuit, faults []fault.Fault) (resumed bool, discarded error) {
 	path := opt.Checkpoint.Path
 	if path == "" || opt.Checkpoint.ResumeFrom != nil {
 		return false, nil

@@ -144,7 +144,7 @@ func TestCheckpointRandomKillResume(t *testing.T) {
 		ropt := opt
 		ropt.Workers = chaosWorkers()[(trial+1)%len(chaosWorkers())]
 		ropt.Checkpoint.Path = path
-		resumed, discarded := TryResume(&ropt, c, reps)
+		resumed, discarded := tryResume(&ropt, c, reps)
 		if discarded != nil {
 			t.Fatalf("trial %d: killed run left an unusable checkpoint: %v", trial, discarded)
 		}
@@ -204,7 +204,7 @@ func TestCheckpointKillMidWriteResume(t *testing.T) {
 	}
 	ropt := opt
 	ropt.Checkpoint.Path = path
-	resumed, discarded := TryResume(&ropt, c, reps)
+	resumed, discarded := tryResume(&ropt, c, reps)
 	if !resumed || discarded != nil {
 		t.Fatalf("previous boundary snapshot unusable after torn write: resumed=%v err=%v", resumed, discarded)
 	}

@@ -134,19 +134,19 @@ func TestTryResumeKeepsFileOnReadError(t *testing.T) {
 	opt.Checkpoint.Path = path
 
 	failpoint.Enable(iofault.Point(CheckpointIOFaultSite, iofault.OpRead), iofault.IOError())
-	resumed, discarded := TryResume(&opt, c, reps)
+	resumed, discarded := tryResume(&opt, c, reps)
 	failpoint.DisableAll()
 	if resumed || !errors.Is(discarded, iofault.ErrIO) {
-		t.Fatalf("TryResume under EIO = (%v, %v), want (false, EIO)", resumed, discarded)
+		t.Fatalf("tryResume under EIO = (%v, %v), want (false, EIO)", resumed, discarded)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("read error deleted the checkpoint: %v", err)
 	}
 
 	// Device recovered: the same file resumes.
-	resumed, discarded = TryResume(&opt, c, reps)
+	resumed, discarded = tryResume(&opt, c, reps)
 	if !resumed || discarded != nil {
-		t.Fatalf("TryResume after recovery = (%v, %v), want (true, nil)", resumed, discarded)
+		t.Fatalf("tryResume after recovery = (%v, %v), want (true, nil)", resumed, discarded)
 	}
 
 	// Contrast: genuinely corrupt content is still deleted so it can
@@ -155,9 +155,9 @@ func TestTryResumeKeepsFileOnReadError(t *testing.T) {
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resumed, discarded = TryResume(&opt, c, reps)
+	resumed, discarded = tryResume(&opt, c, reps)
 	if resumed || !errors.Is(discarded, ErrCheckpointCorrupt) {
-		t.Fatalf("TryResume on garbage = (%v, %v)", resumed, discarded)
+		t.Fatalf("tryResume on garbage = (%v, %v)", resumed, discarded)
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("corrupt checkpoint was not deleted")

@@ -199,7 +199,7 @@ func TestTryResume(t *testing.T) {
 	// No file: clean fresh start.
 	o := opt
 	o.Checkpoint.Path = path
-	if resumed, discarded := TryResume(&o, c, reps); resumed || discarded != nil {
+	if resumed, discarded := tryResume(&o, c, reps); resumed || discarded != nil {
 		t.Fatalf("missing file: resumed=%v discarded=%v", resumed, discarded)
 	}
 
@@ -211,7 +211,7 @@ func TestTryResume(t *testing.T) {
 	}
 	o = opt
 	o.Checkpoint.Path = path
-	if resumed, discarded := TryResume(&o, c, reps); !resumed || discarded != nil {
+	if resumed, discarded := tryResume(&o, c, reps); !resumed || discarded != nil {
 		t.Fatalf("valid file: resumed=%v discarded=%v", resumed, discarded)
 	}
 	if o.Checkpoint.ResumeFrom == nil || len(o.Checkpoint.ResumeFrom.Decided) != len(ck.Decided) {
@@ -227,7 +227,7 @@ func TestTryResume(t *testing.T) {
 	}
 	o = opt
 	o.Checkpoint.Path = path
-	resumed, discarded := TryResume(&o, c, reps)
+	resumed, discarded := tryResume(&o, c, reps)
 	if resumed || !errors.Is(discarded, ErrCheckpointCorrupt) {
 		t.Fatalf("corrupt file: resumed=%v discarded=%v", resumed, discarded)
 	}
@@ -245,7 +245,7 @@ func TestTryResume(t *testing.T) {
 	o = opt
 	o.MaxFrames++
 	o.Checkpoint.Path = path
-	resumed, discarded = TryResume(&o, c, reps)
+	resumed, discarded = tryResume(&o, c, reps)
 	if resumed || !errors.Is(discarded, ErrCheckpointMismatch) {
 		t.Fatalf("stale file: resumed=%v discarded=%v", resumed, discarded)
 	}

@@ -2,13 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
 
 	"repro/internal/atpg"
 	"repro/internal/fault"
 	"repro/internal/fsim"
-	"repro/internal/iofault"
 	"repro/internal/netlist"
 	"repro/internal/retime"
 	"repro/internal/sim"
@@ -70,15 +68,8 @@ func Fig6FlowContext(ctx context.Context, impl *netlist.Circuit, opt atpg.Option
 	// the expensive ATPG leg resumes from a crashed earlier attempt's
 	// checkpoint. The easy circuit and its fault list are recomputed
 	// deterministically above, so the checkpoint's identity hashes
-	// validate across process restarts; an unusable file is discarded to
-	// a clean restart, never a wedged flow.
-	atpg.TryResume(&opt, pair.Original, easyFaults)
+	// validate across process restarts.
 	res, err := atpg.RunContext(ctx, pair.Original, easyFaults, opt)
-	if errors.Is(err, atpg.ErrCheckpointMismatch) && opt.Checkpoint.Path != "" {
-		iofault.Discard(opt.Checkpoint.Path)
-		opt.Checkpoint.ResumeFrom = nil
-		res, err = atpg.RunContext(ctx, pair.Original, easyFaults, opt)
-	}
 	if err != nil {
 		return nil, err
 	}

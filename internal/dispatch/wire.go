@@ -115,7 +115,7 @@ type shardRequest struct {
 	// this shard (migration); the worker validates it before replay.
 	Resume []byte `json:"resume,omitempty"`
 	// CheckpointEvery is the partial-checkpoint cadence in decided
-	// faults (0 = worker default).
+	// faults (0 = atpg.DefaultCheckpointEvery).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// DeadlineMS bounds the shard's run on the worker (0 = none); the
 	// dispatcher enforces its own per-shard deadline regardless.

@@ -26,10 +26,9 @@ import (
 // partial checkpoint (canonical encoding) so the dispatcher always has
 // migratable state on hand.
 type Worker struct {
-	sem             chan struct{}
-	checkpointEvery int
-	reg             *metrics.Registry
-	log             *logger.Logger
+	sem chan struct{}
+	reg *metrics.Registry
+	log *logger.Logger
 
 	// draining flips when graceful shutdown begins; /healthz then
 	// answers 503 "draining" so the dispatcher's health checks stop
@@ -48,10 +47,6 @@ type WorkerConfig struct {
 	// a workerd is one execution slot; run more processes for more
 	// slots).
 	MaxConcurrent int
-	// CheckpointEvery is the partial-checkpoint cadence in decided
-	// faults when the request does not set one (default
-	// atpg.DefaultCheckpointEvery).
-	CheckpointEvery int
 	// Metrics receives worker.shards.{accepted,done,failed} counters
 	// when non-nil.
 	Metrics *metrics.Registry
@@ -79,11 +74,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		n = 1
 	}
 	return &Worker{
-		sem:             make(chan struct{}, n),
-		checkpointEvery: cfg.CheckpointEvery,
-		reg:             cfg.Metrics,
-		log:             cfg.Logger,
-		shards:          make(map[string]*workerShard),
+		sem:    make(chan struct{}, n),
+		reg:    cfg.Metrics,
+		log:    cfg.Logger,
+		shards: make(map[string]*workerShard),
 	}
 }
 
@@ -194,9 +188,6 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Unlock()
 	w.count("worker.shards.accepted")
 
-	if work.every <= 0 {
-		work.every = w.checkpointEvery
-	}
 	reqID := httpmw.IDFromContext(r.Context())
 	w.log.Infof("id=%s shard=%s accepted circuit=%s faults=%d resume=%d",
 		reqID, id, work.c.Name, len(work.faults), work.resumeLen())

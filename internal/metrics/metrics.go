@@ -172,31 +172,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(max)
 }
 
-// HistogramSnapshot is a point-in-time summary of a Histogram.
-type HistogramSnapshot struct {
-	Count int64
-	Sum   time.Duration
-	Max   time.Duration
-	Mean  time.Duration
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
-}
-
-// Snapshot captures count/sum/max/mean and the p50/p95/p99 quantile
-// estimates in one call.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	return HistogramSnapshot{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		Max:   h.Max(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
-}
-
 // String renders the histogram as a JSON object (expvar.Var): count,
 // sum/max/mean and p50/p95/p99 in nanoseconds, and one cumulative-free
 // bucket count per upper bound ("le" rendered in time.Duration

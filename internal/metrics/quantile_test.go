@@ -15,10 +15,9 @@ func TestQuantileEmptyHistogram(t *testing.T) {
 			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
 		}
 	}
-	snap := h.Snapshot()
-	if snap.Count != 0 || snap.P50 != 0 || snap.P95 != 0 || snap.P99 != 0 ||
-		snap.Sum != 0 || snap.Max != 0 || snap.Mean != 0 {
-		t.Errorf("empty Snapshot = %+v, want all zero", snap)
+	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Mean() != 0 {
+		t.Errorf("empty count/sum/max/mean = %d/%v/%v/%v, want all zero",
+			h.Count(), h.Sum(), h.Max(), h.Mean())
 	}
 }
 
@@ -109,17 +108,30 @@ func TestQuantileUniformBucketInterpolation(t *testing.T) {
 	}
 }
 
+// TestSnapshotMatchesDirectReads: the JSON snapshot String renders for
+// /metrics agrees with the direct reads, and the quantiles are ordered.
 func TestSnapshotMatchesDirectReads(t *testing.T) {
 	h := new(Histogram)
 	for i := 1; i <= 50; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
-	snap := h.Snapshot()
-	if snap.Count != h.Count() || snap.Sum != h.Sum() || snap.Max != h.Max() || snap.Mean != h.Mean() {
-		t.Errorf("Snapshot %+v disagrees with direct reads", snap)
+	var snap struct {
+		Count int64 `json:"count"`
+		Sum   int64 `json:"sum_ns"`
+		Max   int64 `json:"max_ns"`
+		Mean  int64 `json:"mean_ns"`
+		P50   int64 `json:"p50_ns"`
+		P95   int64 `json:"p95_ns"`
+		P99   int64 `json:"p99_ns"`
 	}
-	if snap.P50 != h.Quantile(0.5) || snap.P95 != h.Quantile(0.95) || snap.P99 != h.Quantile(0.99) {
-		t.Errorf("Snapshot quantiles %+v disagree with Quantile()", snap)
+	if err := json.Unmarshal([]byte(h.String()), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Count != h.Count() || snap.Sum != int64(h.Sum()) || snap.Max != int64(h.Max()) || snap.Mean != int64(h.Mean()) {
+		t.Errorf("snapshot %+v disagrees with direct reads", snap)
+	}
+	if snap.P50 != int64(h.Quantile(0.5)) || snap.P95 != int64(h.Quantile(0.95)) || snap.P99 != int64(h.Quantile(0.99)) {
+		t.Errorf("snapshot quantiles %+v disagree with Quantile()", snap)
 	}
 	if !(snap.P50 <= snap.P95 && snap.P95 <= snap.P99 && snap.P99 <= snap.Max) {
 		t.Errorf("quantile ordering violated: %+v", snap)
@@ -150,10 +162,10 @@ func TestHistogramStringIncludesQuantiles(t *testing.T) {
 	}
 }
 
-// TestConcurrentObserveVsSnapshot is the -race gate for the new read
-// paths: writers observe while readers snapshot/quantile continuously;
-// every snapshot must be internally sane (no torn ordering, values in
-// range) even though it is not an instantaneous cut.
+// TestConcurrentObserveVsSnapshot is the -race gate for the read
+// paths: writers observe while a reader reads count/max/quantiles and
+// renders the JSON snapshot continuously; every read must be sane
+// (values in range) even though the set is not an instantaneous cut.
 func TestConcurrentObserveVsSnapshot(t *testing.T) {
 	h := new(Histogram)
 	const writers = 4
@@ -180,15 +192,16 @@ func TestConcurrentObserveVsSnapshot(t *testing.T) {
 				return
 			default:
 			}
-			snap := h.Snapshot()
-			if snap.Count < 0 || snap.P50 < 0 || snap.P95 < 0 || snap.P99 < 0 {
-				t.Error("negative snapshot field")
+			count, max := h.Count(), h.Max()
+			p50, p95, p99 := h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99)
+			if count < 0 || p50 < 0 || p95 < 0 || p99 < 0 {
+				t.Error("negative read")
 				return
 			}
-			if snap.P50 > snap.Max+time.Second || snap.P99 > snap.Max+time.Second {
+			if p50 > max+time.Second || p99 > max+time.Second {
 				// Max may lag buckets slightly under concurrency, but
 				// never by seconds with µs-scale samples.
-				t.Errorf("wildly inconsistent snapshot: %+v", snap)
+				t.Errorf("wildly inconsistent reads: p50=%v p99=%v max=%v", p50, p99, max)
 				return
 			}
 			_ = h.String() // JSON rendering must be race-free too
@@ -199,11 +212,11 @@ func TestConcurrentObserveVsSnapshot(t *testing.T) {
 	close(stop)
 	<-readerDone
 
-	snap := h.Snapshot()
-	if snap.Count != writers*perWriter {
-		t.Fatalf("final count = %d, want %d", snap.Count, writers*perWriter)
+	if got := h.Count(); got != writers*perWriter {
+		t.Fatalf("final count = %d, want %d", got, writers*perWriter)
 	}
-	if !(snap.P50 <= snap.P95 && snap.P95 <= snap.P99 && snap.P99 <= snap.Max) {
-		t.Fatalf("final quantile ordering violated: %+v", snap)
+	p50, p95, p99, max := h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99), h.Max()
+	if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
+		t.Fatalf("final quantile ordering violated: p50=%v p95=%v p99=%v max=%v", p50, p95, p99, max)
 	}
 }

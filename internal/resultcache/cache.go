@@ -9,8 +9,8 @@
 //
 // Three layers compose:
 //
-//   - a sharded in-memory LRU with byte-accounted capacity (the hot
-//     tier: lock per shard, O(1) get/put/evict);
+//   - an in-memory LRU with byte-accounted capacity (the hot tier: one
+//     lock, O(1) get/put/evict);
 //   - an optional on-disk store (Config.Dir) holding one versioned,
 //     checksummed, atomically written entry file per key, on the same
 //     primitives as the ATPG checkpoint: a frame-sealed canonical
@@ -40,10 +40,6 @@ import (
 
 // DefaultMaxBytes is the in-memory budget when Config.MaxBytes is 0.
 const DefaultMaxBytes = 64 << 20
-
-// defaultShards is the shard count when Config.Shards is 0. A power of
-// two so shard selection is a mask.
-const defaultShards = 16
 
 // memEntryOverhead approximates the per-entry bookkeeping cost (map
 // slot, list element, key) charged against MaxBytes on top of the
@@ -148,17 +144,14 @@ func (s Source) String() string {
 	return "miss"
 }
 
-// Config tunes a Cache. The zero value is usable: default capacity and
-// shard count, no disk store, a private metrics registry.
+// Config tunes a Cache. The zero value is usable: default capacity, no
+// disk store, a private metrics registry.
 type Config struct {
 	// MaxBytes bounds the in-memory tier (payload bytes plus a fixed
-	// per-entry overhead); 0 means DefaultMaxBytes. The budget is split
-	// evenly across shards. Entries larger than one shard's budget skip
-	// the memory tier (they still reach the disk store).
+	// per-entry overhead); 0 means DefaultMaxBytes. Entries larger than
+	// the whole budget skip the memory tier (they still reach the disk
+	// store).
 	MaxBytes int64
-	// Shards is the number of independently locked LRU shards, rounded
-	// up to a power of two; 0 means 16.
-	Shards int
 	// Dir, when set, enables the on-disk store: one atomically written,
 	// checksummed entry file per key, surviving restarts. Load failures
 	// (torn, corrupt, version-skewed, mismatched) discard the file.
@@ -172,13 +165,17 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Cache is a sharded, byte-bounded, single-flight result cache. All
-// methods are safe for concurrent use.
+// Cache is a byte-bounded, single-flight result cache. All methods are
+// safe for concurrent use.
 type Cache struct {
-	shards []shard
-	mask   uint64
-	store  *diskStore
-	reg    *metrics.Registry
+	mu       sync.Mutex
+	items    map[Key]*list.Element
+	ll       *list.List // front = most recently used
+	bytes    int64
+	maxBytes int64
+
+	store *diskStore
+	reg   *metrics.Registry
 
 	flightMu sync.Mutex
 	flights  map[Key]*flight
@@ -189,14 +186,6 @@ type flight struct {
 	waiters atomic.Int64 // callers parked on done (observability/tests)
 	payload []byte
 	err     error
-}
-
-type shard struct {
-	mu       sync.Mutex
-	items    map[Key]*list.Element
-	ll       *list.List // front = most recently used
-	bytes    int64
-	maxBytes int64
 }
 
 type memEntry struct {
@@ -210,24 +199,16 @@ func New(cfg Config) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	n := 1
-	for n < cfg.Shards || (cfg.Shards == 0 && n < defaultShards) {
-		n <<= 1
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	c := &Cache{
-		shards:  make([]shard, n),
-		mask:    uint64(n - 1),
-		reg:     reg,
-		flights: make(map[Key]*flight),
-	}
-	for i := range c.shards {
-		c.shards[i].items = make(map[Key]*list.Element)
-		c.shards[i].ll = list.New()
-		c.shards[i].maxBytes = maxBytes / int64(n)
+		items:    make(map[Key]*list.Element),
+		ll:       list.New(),
+		maxBytes: maxBytes,
+		reg:      reg,
+		flights:  make(map[Key]*flight),
 	}
 	if cfg.Dir != "" {
 		c.store = &diskStore{
@@ -241,26 +222,19 @@ func New(cfg Config) *Cache {
 // Metrics returns the registry the cache records into.
 func (c *Cache) Metrics() *metrics.Registry { return c.reg }
 
-func (c *Cache) shard(k Key) *shard {
-	// The key components are already FNV-1a hashes; a xor-fold spreads
-	// them across shards without rehashing.
-	return &c.shards[(k.Circuit^k.Faults^k.Options)&c.mask]
-}
-
 // Get looks the key up in the memory tier, then the disk store
 // (promoting a disk hit into memory). ok reports a hit; src says which
 // tier answered. Misses and hits are counted.
 func (c *Cache) Get(k Key) (payload []byte, src Source, ok bool) {
-	sh := c.shard(k)
-	sh.mu.Lock()
-	if el, hit := sh.items[k]; hit {
-		sh.ll.MoveToFront(el)
+	c.mu.Lock()
+	if el, hit := c.items[k]; hit {
+		c.ll.MoveToFront(el)
 		payload = el.Value.(*memEntry).payload
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		c.reg.Counter("cache.hits").Inc()
 		return payload, SourceMemory, true
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if c.store != nil {
 		if payload, ok = c.store.load(k); ok {
 			c.insert(k, payload)
@@ -288,93 +262,72 @@ func (c *Cache) Put(k Key, payload []byte) {
 // Delete removes the key from both tiers (e.g. after a payload proved
 // undecodable despite its checksum -- a schema skew across versions).
 func (c *Cache) Delete(k Key) {
-	sh := c.shard(k)
-	sh.mu.Lock()
-	if el, ok := sh.items[k]; ok {
-		sh.remove(el)
+	c.mu.Lock()
+	if el, ok := c.items[k]; ok {
+		c.remove(el)
 	}
-	sh.mu.Unlock()
+	c.gauges()
+	c.mu.Unlock()
 	if c.store != nil {
 		c.store.discard(k)
 	}
-	c.gauges()
 }
 
-// insert adds the entry to its shard, evicting from the cold end until
-// the shard fits its budget. Oversized payloads are skipped: caching
-// them would evict the entire shard for one entry.
+// insert adds the entry to the memory tier, evicting from the cold end
+// until it fits its budget. Oversized payloads are skipped: caching
+// them would evict the entire tier for one entry.
 func (c *Cache) insert(k Key, payload []byte) {
 	cost := int64(len(payload)) + memEntryOverhead
-	sh := c.shard(k)
-	sh.mu.Lock()
-	if cost > sh.maxBytes {
-		sh.mu.Unlock()
+	if cost > c.maxBytes {
 		return
 	}
-	if el, ok := sh.items[k]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
 		// Same key, same deterministic payload: refresh recency only.
-		sh.ll.MoveToFront(el)
-		sh.mu.Unlock()
+		c.ll.MoveToFront(el)
 		return
 	}
-	sh.items[k] = sh.ll.PushFront(&memEntry{key: k, payload: payload})
-	sh.bytes += cost
+	c.items[k] = c.ll.PushFront(&memEntry{key: k, payload: payload})
+	c.bytes += cost
 	evicted := int64(0)
-	for sh.bytes > sh.maxBytes {
-		sh.remove(sh.ll.Back())
+	for c.bytes > c.maxBytes {
+		c.remove(c.ll.Back())
 		evicted++
 	}
-	sh.mu.Unlock()
 	if evicted > 0 {
 		c.reg.Counter("cache.evictions").Add(evicted)
 	}
 	c.gauges()
 }
 
-// remove unlinks one element; the shard mutex must be held.
-func (sh *shard) remove(el *list.Element) {
+// remove unlinks one element; c.mu must be held.
+func (c *Cache) remove(el *list.Element) {
 	e := el.Value.(*memEntry)
-	sh.ll.Remove(el)
-	delete(sh.items, e.key)
-	sh.bytes -= int64(len(e.payload)) + memEntryOverhead
+	c.ll.Remove(el)
+	delete(c.items, e.key)
+	c.bytes -= int64(len(e.payload)) + memEntryOverhead
 }
 
-// gauges refreshes the cache.bytes / cache.entries gauges.
+// gauges refreshes the cache.bytes / cache.entries gauges; c.mu must be
+// held so the two agree.
 func (c *Cache) gauges() {
-	var bytes, entries int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		bytes += sh.bytes
-		entries += int64(len(sh.items))
-		sh.mu.Unlock()
-	}
-	c.reg.Gauge("cache.bytes").Set(bytes)
-	c.reg.Gauge("cache.entries").Set(entries)
+	c.reg.Gauge("cache.bytes").Set(c.bytes)
+	c.reg.Gauge("cache.entries").Set(int64(len(c.items)))
 }
 
 // Len returns the number of in-memory entries.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
 }
 
 // Bytes returns the accounted in-memory size.
 func (c *Cache) Bytes() int64 {
-	var b int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		b += sh.bytes
-		sh.mu.Unlock()
-	}
-	return b
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }
 
 // Do returns the cached payload for the key, computing it at most once

@@ -78,8 +78,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 }
 
 func TestEvictionIsLRUAndByteAccounted(t *testing.T) {
-	// One shard so recency is a single total order.
-	c := New(Config{MaxBytes: 4 * (100 + memEntryOverhead), Shards: 1})
+	c := New(Config{MaxBytes: 4 * (100 + memEntryOverhead)})
 	payload := bytes.Repeat([]byte("x"), 100)
 	for i := 0; i < 4; i++ {
 		c.Put(key(i), payload)
@@ -111,7 +110,7 @@ func TestEvictionIsLRUAndByteAccounted(t *testing.T) {
 
 func TestOversizedPayloadSkipsMemory(t *testing.T) {
 	dir := t.TempDir()
-	c := New(Config{MaxBytes: 256, Shards: 1, Dir: dir})
+	c := New(Config{MaxBytes: 256, Dir: dir})
 	k := key(1)
 	big := bytes.Repeat([]byte("y"), 1024)
 	c.Put(k, big)
@@ -409,10 +408,11 @@ func TestSingleFlightLeaderPanicUnblocksWaiters(t *testing.T) {
 }
 
 func TestConcurrentHammer(t *testing.T) {
-	// Many goroutines, few keys, tiny budget: eviction, single-flight
-	// and disk promotion all race under -race.
+	// Many goroutines, few keys, a budget holding three of the seven
+	// entries: eviction, single-flight and disk promotion all race
+	// under -race.
 	dir := t.TempDir()
-	c := New(Config{MaxBytes: 2048, Shards: 2, Dir: dir, Metrics: metrics.NewRegistry()})
+	c := New(Config{MaxBytes: 512, Dir: dir, Metrics: metrics.NewRegistry()})
 	const (
 		goroutines = 16
 		iters      = 60
@@ -443,5 +443,8 @@ func TestConcurrentHammer(t *testing.T) {
 	wg.Wait()
 	if c.Sweep() != 0 {
 		t.Fatal("hammer left undecodable files behind")
+	}
+	if c.Metrics().Counter("cache.evictions").Value() == 0 {
+		t.Fatal("no evictions: the budget never churned")
 	}
 }

@@ -245,7 +245,7 @@ func TestRequestKeyNormalization(t *testing.T) {
 // TestCacheHammer is the concurrency satellite: eviction pressure (a
 // budget that holds only a couple of payloads), single-flight dedup
 // (every round resubmits the same small request mix) and the
-// checkpoint/TryResume path (journal on, cadence 1) all interleaving,
+// checkpoint resume path (journal on, cadence 1) all interleaving,
 // at worker counts 1, 2 and 4, under -race. Every repeated request must
 // produce the byte-identical payload no matter which path served it.
 func TestCacheHammer(t *testing.T) {
@@ -263,7 +263,7 @@ func TestCacheHammer(t *testing.T) {
 				Metrics:         metrics.NewRegistry(),
 				JournalPath:     filepath.Join(dir, "journal.jsonl"),
 				CheckpointEvery: 1,
-				CacheBytes:      2048, // a few entries at most: constant eviction churn
+				CacheBytes:      4096, // every payload fits, not all at once: constant eviction churn
 				CacheDir:        filepath.Join(dir, "cache"),
 			})
 			reqs := make([]Request, 0, len(benches)*2)
@@ -314,6 +314,9 @@ func TestCacheHammer(t *testing.T) {
 			// The durable tier must be clean residue-wise afterwards.
 			if removed := s.cache.Sweep(); removed != 0 {
 				t.Fatalf("sweep removed %d files from a healthy store", removed)
+			}
+			if s.cfg.Metrics.Counter("cache.evictions").Value() == 0 {
+				t.Fatal("no evictions: the budget never churned")
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -141,24 +140,14 @@ func (s *Service) execATPG(ctx context.Context, id string, req *Request, c *netl
 	}); err != nil {
 		return nil, err
 	}
-	// Resume from the job's durable checkpoint when a valid one exists
-	// (a crashed earlier attempt left it); an unusable file is discarded
-	// to a clean restart and can never block the retry.
+	// The run resumes from the job's durable checkpoint when a crashed
+	// earlier attempt left a usable one (atpg's resume policy).
 	opt := req.ATPG.Options()
 	opt.Checkpoint = s.checkpointConfig(id)
-	atpg.TryResume(&opt, c, faults)
 	var res *atpg.Result
 	if err := s.stage(ctx, "atpg", func() error {
 		var err error
 		res, err = s.runATPG(ctx, c, faults, opt, req)
-		if errors.Is(err, atpg.ErrCheckpointMismatch) {
-			// The file validated but its decision log diverged mid-replay
-			// (hand-edited, or an identity-hash collision): discard it and
-			// run clean rather than fail the job.
-			s.discardCheckpoint(opt.Checkpoint.Path)
-			opt.Checkpoint.ResumeFrom = nil
-			res, err = s.runATPG(ctx, c, faults, opt, req)
-		}
 		return err
 	}); err != nil {
 		return nil, err

@@ -406,16 +406,6 @@ func (s *Service) checkpointConfig(id string) atpg.CheckpointConfig {
 	}
 }
 
-// discardCheckpoint deletes a checkpoint the service decided not to
-// trust (plus any torn-write residue) and counts the discard.
-func (s *Service) discardCheckpoint(path string) {
-	if path == "" {
-		return
-	}
-	iofault.Discard(path)
-	s.reg.Counter("atpg.checkpoint.discarded").Inc()
-}
-
 // removeCheckpoint deletes a terminal job's checkpoint file and any
 // .tmp residue. The service.checkpoint.before-remove failpoint lets
 // chaos tests simulate a crash that journals the terminal state but

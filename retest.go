@@ -189,7 +189,6 @@ func LoadATPGCheckpoint(path string) (*ATPGCheckpoint, error) { return atpg.Load
 func ATPGWithCheckpoint(ctx context.Context, c *Circuit, faults []Fault, opt ATPGOptions, path string, every int) (*ATPGResult, error) {
 	opt.Checkpoint.Path = path
 	opt.Checkpoint.Every = every
-	atpg.TryResume(&opt, c, faults)
 	return atpg.RunContext(ctx, c, faults, opt)
 }
 

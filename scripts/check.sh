@@ -127,8 +127,12 @@ named_test 'TestWatchdog' -race -count=20 -shuffle=on ./internal/service/
 echo "== go test -race -short (checkpoint kill/resume chaos: crash anywhere, resume, byte-identical)"
 # -short samples 3 kill points per snapshot set and workers {1,4}; the
 # plain tier-1 pass (and a nightly run without -short) widens to up to
-# 10 kill points and workers {1,2,4}.
-named_test 'TestCheckpoint' -race -short -count=1 ./internal/atpg/
+# 10 kill points and workers {1,2,4}. The CLI and facade cases check
+# that a checkpoint path alone resumes from a usable file and reruns
+# clean over an unusable or divergent one. The root package is written
+# ./ so named_test hands it to require_tests.
+named_test 'TestCheckpoint|TestRunCheckpointResume|TestRunResumeDiscardsGarbage|TestFacadeATPGWithCheckpoint' \
+    -race -short -count=1 ./internal/atpg/ ./cmd/atpg/ ./
 
 echo "== go test -race"
 go test -race -short ./...
