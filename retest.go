@@ -185,7 +185,8 @@ func LoadATPGCheckpoint(path string) (*ATPGCheckpoint, error) { return atpg.Load
 // starting over. Killed anywhere and re-invoked, it converges on the
 // byte-identical result of an uninterrupted run; an unusable
 // checkpoint (corrupt, version skew, different circuit, fault list or
-// options) is discarded and the run starts clean.
+// options, or a log that diverges during replay) is discarded and the
+// run starts clean.
 func ATPGWithCheckpoint(ctx context.Context, c *Circuit, faults []Fault, opt ATPGOptions, path string, every int) (*ATPGResult, error) {
 	opt.Checkpoint.Path = path
 	opt.Checkpoint.Every = every
