@@ -17,9 +17,6 @@ func TestCLIMainErrorPaths(t *testing.T) {
 		{"no operands", nil, 2},
 		{"too many operands", []string{"a.bench", "b.bench"}, 2},
 		{"bad flag value", []string{"-frames", "x", "a.bench"}, 2},
-		// -checkpoint alone resumes from a usable file; there is no
-		// -resume flag to ask for it.
-		{"removed resume flag", []string{"-resume", "a.bench"}, 2},
 		{"missing input file", []string{missing}, 1},
 	}
 	for _, c := range cases {

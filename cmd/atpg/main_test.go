@@ -157,6 +157,28 @@ func TestRunResumeDiscardsGarbage(t *testing.T) {
 	}
 }
 
+// TestResumeRequiresCheckpointFlag: resuming is asked for with
+// -checkpoint alone. -resume is not a flag, with or without
+// -checkpoint, so it is a usage error rather than a silent no-op.
+func TestResumeRequiresCheckpointFlag(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck")
+	for _, args := range [][]string{
+		{"-resume", "in.bench"},
+		{"-checkpoint", ck, "-resume", "in.bench"},
+	} {
+		var errw bytes.Buffer
+		if code := cliMain(args, &errw); code != 2 {
+			t.Fatalf("%q: exit code %d, want 2", args, code)
+		}
+		if !strings.Contains(errw.String(), "flag provided but not defined: -resume") {
+			t.Fatalf("%q: missing usage message:\n%s", args, errw.String())
+		}
+		if _, err := os.Stat(ck); !os.IsNotExist(err) {
+			t.Fatalf("%q: checkpoint file touched by a rejected command line (stat: %v)", args, err)
+		}
+	}
+}
+
 // TestRunInterruptedReportsPrefixCoverage cuts a parallel run off with
 // a tiny -timeout and checks the prefix-coverage line of the
 // partial-results contract appears.
