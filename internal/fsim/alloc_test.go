@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/netlist"
+	"repro/internal/sim"
 )
 
 // steadyStateAllocBudget pins the per-Simulate allocation count of a
@@ -88,5 +89,29 @@ func TestSimulateParallelSteadyStateAllocs(t *testing.T) {
 	if allocs > parallelSteadyStateAllocBudget {
 		t.Fatalf("parallel steady-state Simulate allocates %.1f objects/run, budget %d",
 			allocs, parallelSteadyStateAllocBudget)
+	}
+}
+
+// machineStepAllocBudget pins the per-Step allocation count of the
+// scalar Machine: the returned output vector is the only allocation,
+// because the gate-input buffer is reused across gates and cycles.
+const machineStepAllocBudget = 1
+
+// TestMachineStepAllocs is the allocation-regression gate for the
+// scalar 3-valued simulator, run on the good machine of the paper's
+// Fig. 2 C1 and Fig. 5 N1.
+func TestMachineStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, c := range []*netlist.Circuit{netlist.Fig2C1(), netlist.Fig5N1()} {
+		m := NewMachine(c, nil)
+		in := make(sim.Vec, len(c.Inputs))
+		m.Step(in)
+		allocs := testing.AllocsPerRun(100, func() { m.Step(in) })
+		if allocs > machineStepAllocBudget {
+			t.Errorf("%s: Machine.Step allocates %.1f objects/call, budget %d",
+				c.Name, allocs, machineStepAllocBudget)
+		}
 	}
 }
