@@ -61,7 +61,7 @@ func TestFig3PairShape(t *testing.T) {
 	// Fig3L2 (compare 3-valued I/O on random stimuli).
 	ref := netlist.Fig3L2()
 	rng := rand.New(rand.NewSource(51))
-	sa, sb := sim.New(p.Retimed), sim.New(ref)
+	sa, sb := fsim.NewMachine(p.Retimed, nil), fsim.NewMachine(ref, nil)
 	for step := 0; step < 40; step++ {
 		in := sim.Vec{logic.FromBool(rng.Intn(2) == 1), logic.FromBool(rng.Intn(2) == 1)}
 		oa, ob := sa.Step(in), sb.Step(in)
@@ -103,7 +103,7 @@ func TestMapSyncSequence(t *testing.T) {
 	}
 	// Theorem 2 instance: the mapped sequence synchronizes the retimed
 	// circuit functionally (both consistent initial states end in 11).
-	s := sim.New(p.Retimed)
+	s := fsim.NewMachine(p.Retimed, nil)
 	for init := uint64(0); init < 4; init++ {
 		s.SetState(sim.UnpackVec(init, 2))
 		for _, v := range mapped {

@@ -185,6 +185,10 @@ func TestMachineStatePanics(t *testing.T) {
 	}
 }
 
+// TestMachineMatchesSimWhenFaultFree cross-checks the two good-machine
+// evaluators: the fault-free scalar Machine (logic.Eval per gate) must
+// agree with bit 0 of the parallel Simulator's good trajectory (the
+// compiled word program) on every output and the final state.
 func TestMachineMatchesSimWhenFaultFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for iter := 0; iter < 20; iter++ {
@@ -193,17 +197,21 @@ func TestMachineMatchesSimWhenFaultFree(t *testing.T) {
 			Gates: 2 + rng.Intn(20), DFFs: rng.Intn(5), MaxFanin: 3,
 		})
 		m := NewMachine(c, nil)
-		s := sim.New(c)
+		s := NewSimulator(c, nil)
 		seq := randomSeq(rng, len(c.Inputs), 6)
 		mo := m.Run(seq)
-		so := s.Run(seq)
+		s.computeGood(seq)
 		for i := range seq {
-			if sim.VecString(mo[i]) != sim.VecString(so[i]) {
-				t.Fatalf("%s: machine and simulator disagree at %d", c.Name, i)
+			for k, id := range c.Outputs {
+				if mo[i][k] != s.goodAt[i][id].Get(0) {
+					t.Fatalf("%s: machine and simulator disagree at %d", c.Name, i)
+				}
 			}
 		}
-		if sim.VecString(m.State()) != sim.VecString(s.State()) {
-			t.Fatalf("%s: final state disagrees", c.Name)
+		for i, v := range m.State() {
+			if v != s.goodState[i].Get(0) {
+				t.Fatalf("%s: final state disagrees", c.Name)
+			}
 		}
 	}
 }

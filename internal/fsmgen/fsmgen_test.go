@@ -2,6 +2,7 @@ package fsmgen
 
 import (
 	"math/rand"
+	"repro/internal/fsim"
 	"strings"
 	"testing"
 
@@ -215,7 +216,7 @@ func coSim(t *testing.T, f *FSM, c *netlist.Circuit, opt SynthOptions, rng *rand
 	t.Helper()
 	codes := EncodeStates(f, opt.Encoding)
 	bits := CodeBits(len(f.States))
-	s := sim.New(c)
+	s := fsim.NewMachine(c, nil)
 	state := f.States[rng.Intn(len(f.States))]
 	s.SetState(sim.UnpackVec(codes[state], bits))
 	for step := 0; step < 30; step++ {

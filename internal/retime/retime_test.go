@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/fsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -114,7 +115,7 @@ func TestRoundTripBehaviour(t *testing.T) {
 
 func checkSameIO(t *testing.T, a, b *netlist.Circuit, rng *rand.Rand, steps int) {
 	t.Helper()
-	sa, sb := sim.New(a), sim.New(b)
+	sa, sb := fsim.NewMachine(a, nil), fsim.NewMachine(b, nil)
 	for trial := 0; trial < 3; trial++ {
 		sa.Reset()
 		sb.Reset()
@@ -244,7 +245,7 @@ func TestRetimedBehaviourAfterSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		so, sr := sim.New(orig), sim.New(ret)
+		so, sr := fsim.NewMachine(orig, nil), fsim.NewMachine(ret, nil)
 		// Long shared warm-up so both machines flush the lag window,
 		// then compare outputs wherever the original output is known.
 		warm := 2 + g.AnalyzeMoves(r).MaxForward + g.AnalyzeMoves(r).MaxBackward + len(orig.DFFs) + len(ret.DFFs)

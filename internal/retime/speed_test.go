@@ -2,6 +2,7 @@ package retime
 
 import (
 	"math/rand"
+	"repro/internal/fsim"
 	"testing"
 
 	"repro/internal/logic"
@@ -119,7 +120,7 @@ func TestSpeedStyleRetimingPreservesBehaviour(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		so, sr := sim.New(orig), sim.New(ret)
+		so, sr := fsim.NewMachine(orig, nil), fsim.NewMachine(ret, nil)
 		warm := 4 + len(orig.DFFs) + len(ret.DFFs)
 		for step := 0; step < warm+8; step++ {
 			in := make(sim.Vec, len(orig.Inputs))

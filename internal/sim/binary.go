@@ -9,9 +9,12 @@ import (
 
 // BinarySim is an exhaustive binary-domain simulator: states and input
 // vectors are packed into uint64 words (bit i is flip-flop i,
-// respectively input i). It exists to extract state transition graphs
-// and to cross-check the 3-valued simulator, and is limited to circuits
-// with at most 64 flip-flops, inputs and outputs.
+// respectively input i). It is the test oracle against which the
+// 3-valued simulator (fsim.Machine) is checked: on binary states and
+// inputs the two must agree exactly, and from the all-X state every
+// binary value the 3-valued simulator produces must hold for every
+// binary initial state. It is limited to circuits with at most 64
+// flip-flops, inputs and outputs.
 type BinarySim struct {
 	c     *netlist.Circuit
 	order []int

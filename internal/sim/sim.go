@@ -1,16 +1,19 @@
-// Package sim provides logic simulation of synchronous sequential
-// circuits: scalar 3-valued simulation with unknown initial state (the
-// model that defines "structural-based" synchronizing sequences and
-// tests in the paper) and exhaustive binary simulation used to extract
-// state transition graphs.
+// Package sim holds the vector vocabulary shared by every simulator in
+// the repository -- Vec, Seq, their literal parsers and printers, and
+// the uint64 packing helpers -- plus BinarySim, an exhaustive
+// binary-domain simulator kept as the test oracle for the soundness of
+// the 3-valued abstraction.
+//
+// The scalar 3-valued simulator itself (unknown initial state, the
+// model that defines the paper's "structural-based" synchronizing
+// sequences and tests) is fsim.Machine with a nil fault; state
+// transition graph extraction (package stg) runs on it too.
 package sim
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/logic"
-	"repro/internal/netlist"
 )
 
 // Vec is one input (or output) vector, indexed like Circuit.Inputs
@@ -68,134 +71,4 @@ func AllKnown(v Vec) bool {
 		}
 	}
 	return true
-}
-
-// Simulator performs scalar 3-valued simulation of one circuit. The
-// zero-cost way to model "unknown initial state" is Reset, which fills
-// every flip-flop with X. Between Steps the simulator holds the current
-// state; node values from the most recent Step remain readable.
-type Simulator struct {
-	c     *netlist.Circuit
-	order []int     // combinational evaluation order
-	val   []logic.V // per-node value for the current cycle
-	state []logic.V // per-DFF value (indexed like c.DFFs)
-	buf   []logic.V // scratch for gate input gathering
-}
-
-// New creates a simulator for the circuit. It panics if the circuit has
-// a combinational cycle (construction already rejects those).
-func New(c *netlist.Circuit) *Simulator {
-	order, _ := c.MustLevels()
-	s := &Simulator{
-		c:     c,
-		order: order,
-		val:   make([]logic.V, len(c.Nodes)),
-		state: make([]logic.V, len(c.DFFs)),
-		buf:   make([]logic.V, 8),
-	}
-	s.Reset()
-	return s
-}
-
-// Circuit returns the simulated circuit.
-func (s *Simulator) Circuit() *netlist.Circuit { return s.c }
-
-// Reset sets every flip-flop to X (unknown initial state).
-func (s *Simulator) Reset() {
-	for i := range s.state {
-		s.state[i] = logic.X
-	}
-}
-
-// SetState forces the flip-flop contents (indexed like Circuit.DFFs).
-func (s *Simulator) SetState(state Vec) {
-	if len(state) != len(s.state) {
-		panic(fmt.Sprintf("sim: SetState with %d values for %d DFFs", len(state), len(s.state)))
-	}
-	copy(s.state, state)
-}
-
-// State returns a copy of the current flip-flop contents.
-func (s *Simulator) State() Vec {
-	return append(Vec(nil), s.state...)
-}
-
-// Synchronized reports whether every flip-flop holds a binary value.
-func (s *Simulator) Synchronized() bool { return AllKnown(s.state) }
-
-// Step applies one input vector (indexed like Circuit.Inputs), computes
-// all node values for the cycle, returns the primary output vector, and
-// advances the flip-flops to their next state.
-func (s *Simulator) Step(in Vec) Vec {
-	s.Eval(in)
-	out := s.Outputs()
-	s.Advance()
-	return out
-}
-
-// Eval computes combinational values for the cycle without advancing
-// the state. Callers that need per-node visibility use Eval + Value +
-// Advance; Step wraps the common case.
-func (s *Simulator) Eval(in Vec) {
-	c := s.c
-	if len(in) != len(c.Inputs) {
-		panic(fmt.Sprintf("sim: Step with %d values for %d inputs", len(in), len(c.Inputs)))
-	}
-	for i, id := range c.Inputs {
-		s.val[id] = in[i]
-	}
-	for i, id := range c.DFFs {
-		s.val[id] = s.state[i]
-	}
-	for _, id := range s.order {
-		n := &c.Nodes[id]
-		ins := s.buf[:0]
-		for _, f := range n.Fanin {
-			ins = append(ins, s.val[f])
-		}
-		s.val[id] = logic.Eval(n.Op, ins)
-		s.buf = ins[:0]
-	}
-}
-
-// Advance loads each flip-flop from its data input, completing the
-// clock cycle started by Eval.
-func (s *Simulator) Advance() {
-	for i, id := range s.c.DFFs {
-		s.state[i] = s.val[s.c.Nodes[id].Fanin[0]]
-	}
-}
-
-// Outputs returns the primary output vector for the evaluated cycle.
-func (s *Simulator) Outputs() Vec {
-	out := make(Vec, len(s.c.Outputs))
-	for i, id := range s.c.Outputs {
-		out[i] = s.val[id]
-	}
-	return out
-}
-
-// Value returns the evaluated value on the named node for the current
-// cycle (valid after Eval or Step).
-func (s *Simulator) Value(id int) logic.V { return s.val[id] }
-
-// Run resets the simulator and applies the sequence, returning the
-// output vector of every cycle.
-func (s *Simulator) Run(seq Seq) []Vec {
-	s.Reset()
-	outs := make([]Vec, len(seq))
-	for i, in := range seq {
-		outs[i] = s.Step(in)
-	}
-	return outs
-}
-
-// RunFrom applies the sequence starting from the given state.
-func (s *Simulator) RunFrom(state Vec, seq Seq) []Vec {
-	s.SetState(state)
-	outs := make([]Vec, len(seq))
-	for i, in := range seq {
-		outs[i] = s.Step(in)
-	}
-	return outs
 }

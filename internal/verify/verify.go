@@ -17,6 +17,7 @@ package verify
 import (
 	"fmt"
 	"math/rand"
+	"repro/internal/fsim"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -91,7 +92,7 @@ func Bounded(a, b *netlist.Circuit, opt BoundedOptions) (*Result, error) {
 		return nil, fmt.Errorf("verify: interface mismatch")
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	sa, sb := sim.New(a), sim.New(b)
+	sa, sb := fsim.NewMachine(a, nil), fsim.NewMachine(b, nil)
 	for trial := 0; trial < opt.Trials; trial++ {
 		sa.Reset()
 		sb.Reset()
