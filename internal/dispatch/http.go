@@ -217,27 +217,13 @@ func (b *HTTPBackend) Run(ctx context.Context, spec ShardSpec, progress Progress
 	}
 }
 
-// validated decodes and identity-validates an on-the-wire checkpoint
-// against the shard spec, additionally requiring completeness when
-// final. It returns nil on any mismatch -- the caller treats a bad
-// partial as absent and a bad final as a failed attempt.
+// validated decodes an on-the-wire checkpoint and checks it with
+// validShardLog against the shard spec. It returns nil on any mismatch
+// -- the caller treats a bad partial as absent and a bad final as a
+// failed attempt.
 func (b *HTTPBackend) validated(data []byte, spec ShardSpec, final bool) *atpg.Checkpoint {
 	ck, err := atpg.DecodeCheckpoint(data)
-	if err != nil {
-		return nil
-	}
-	opt := spec.Opt
-	opt.Workers = 0
-	opt.Checkpoint = atpg.CheckpointConfig{}
-	if err := ck.Validate(spec.Circuit, spec.Faults, opt); err != nil {
-		return nil
-	}
-	for i, d := range ck.Decided {
-		if i >= len(spec.Faults) || spec.Faults[i] != d.Fault {
-			return nil
-		}
-	}
-	if final && len(ck.Decided) != len(spec.Faults) {
+	if err != nil || !validShardLog(spec.Circuit, spec.Faults, spec.Opt, ck, final) {
 		return nil
 	}
 	return ck
