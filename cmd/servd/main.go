@@ -85,7 +85,9 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	}
 	// Out-of-range values are usage errors, never silently replaced:
 	// the service would swap a zero queue or timeout for its default,
-	// and a body limit below 1 would turn the limit off.
+	// a negative worker count for GOMAXPROCS and a negative drain or
+	// watchdog window for none, and a body limit below 1 would turn the
+	// limit off.
 	var bad string
 	switch {
 	case *logBuffer < 1 || *logBuffer > logger.MaxCapacity:
@@ -96,6 +98,12 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		bad = fmt.Sprintf("-timeout %v must be positive", *timeout)
 	case *maxBody < 1:
 		bad = fmt.Sprintf("-max-body %d must be at least 1", *maxBody)
+	case *workers < 0:
+		bad = fmt.Sprintf("-workers %d must not be negative", *workers)
+	case *drain < 0:
+		bad = fmt.Sprintf("-drain %v must not be negative", *drain)
+	case *watchdog < 0:
+		bad = fmt.Sprintf("-watchdog %v must not be negative", *watchdog)
 	}
 	if bad != "" {
 		fmt.Fprintln(stderr, "servd:", bad)

@@ -287,6 +287,9 @@ func TestCLIMainErrors(t *testing.T) {
 		{"queue negative", []string{"-queue", "-3"}, 2},
 		{"timeout zero", []string{"-timeout", "0"}, 2},
 		{"timeout negative", []string{"-timeout", "-1s"}, 2},
+		{"workers negative", []string{"-workers", "-3"}, 2},
+		{"drain negative", []string{"-drain", "-1s"}, 2},
+		{"watchdog negative", []string{"-watchdog", "-5s"}, 2},
 	}
 	for _, c := range cases {
 		var out, errw bytes.Buffer

@@ -69,6 +69,12 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	// The shard server would silently run one slot for any count below 1.
+	if *slots < 1 {
+		fmt.Fprintf(stderr, "workerd: -slots %d must be at least 1\n", *slots)
+		fs.Usage()
+		return 2
+	}
 	if err := serve(*addr, *slots, logger.New(level, *logBuffer), stdout); err != nil {
 		fmt.Fprintln(stderr, "workerd:", err)
 		return 1

@@ -155,3 +155,17 @@ func TestCLIRejectsBadLogBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestCLIRejectsBadSlots: a -slots below 1 exits 2 with usage before
+// any listener binds.
+func TestCLIRejectsBadSlots(t *testing.T) {
+	for _, v := range []string{"0", "-4"} {
+		var out, errb strings.Builder
+		if code := cliMain([]string{"-slots", v}, &out, &errb); code != 2 {
+			t.Fatalf("-slots %s: exit code %d, want 2; stderr: %s", v, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "-slots "+v) || !strings.Contains(errb.String(), "usage:") {
+			t.Fatalf("-slots %s: stderr lacks the value or usage: %s", v, errb.String())
+		}
+	}
+}
