@@ -14,48 +14,14 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"repro/internal/atpg"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/fsim"
 	"repro/internal/fsmgen"
-	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/retime"
 )
-
-// metricsReg optionally instruments the harness; see SetMetrics.
-var metricsReg atomic.Pointer[metrics.Registry]
-
-// SetMetrics routes per-stage latencies of RunVariant (synthesize,
-// retime, ATPG, preservation check) into the given registry -- the same
-// registry type the job service threads through its pipeline, so one
-// /metrics snapshot can cover both. Pass nil to detach.
-func SetMetrics(r *metrics.Registry) { metricsReg.Store(r) }
-
-// observe times f under "experiments.<stage>.latency" when a registry
-// is attached, and is free otherwise.
-func observe(stage string, f func() error) error {
-	if reg := metricsReg.Load(); reg != nil {
-		return reg.Observe("experiments."+stage+".latency", f)
-	}
-	return f()
-}
-
-// recordFsim accumulates the measured fault-simulation work of one ATPG
-// run into the attached registry (no-op when detached).
-func recordFsim(st fsim.Stats) {
-	reg := metricsReg.Load()
-	if reg == nil {
-		return
-	}
-	reg.Counter("experiments.fsim.evals").Add(st.Evals)
-	reg.Counter("experiments.fsim.cycles").Add(st.Cycles)
-	reg.Counter("experiments.fsim.drops").Add(st.Drops)
-	reg.Counter("experiments.fsim.repacks").Add(st.Repacks)
-}
 
 // Variant names one synthesized circuit of Table II.
 type Variant struct {
@@ -161,43 +127,22 @@ type VariantRun struct {
 // withRetimedATPG is set; this is the expensive Table II measurement),
 // and fault-simulates the derived test set (Table III).
 func RunVariant(v Variant, opt atpg.Options, withRetimedATPG bool) (*VariantRun, error) {
-	var c *netlist.Circuit
-	if err := observe("synthesize", func() error {
-		var err error
-		c, err = v.Synthesize()
-		return err
-	}); err != nil {
+	c, err := v.Synthesize()
+	if err != nil {
 		return nil, err
 	}
-	var pair *core.RetimedPair
-	var before, after int
-	if err := observe("retime", func() error {
-		var err error
-		pair, before, after, err = SpeedRetime(c, forwardMoveVariants[v.Name()])
-		return err
-	}); err != nil {
+	pair, before, after, err := SpeedRetime(c, forwardMoveVariants[v.Name()])
+	if err != nil {
 		return nil, err
 	}
 	run := &VariantRun{Variant: v, Pair: pair, PeriodBefore: before, PeriodAfter: after}
 	run.OrigFaults, _ = fault.Collapse(pair.Original)
 	run.RetFaults, _ = fault.Collapse(pair.Retimed)
-	observe("atpg.original", func() error {
-		run.OrigATPG = atpg.Run(pair.Original, run.OrigFaults, opt)
-		return nil
-	})
-	recordFsim(run.OrigATPG.FsimStats)
+	run.OrigATPG = atpg.Run(pair.Original, run.OrigFaults, opt)
 	if withRetimedATPG {
-		observe("atpg.retimed", func() error {
-			run.RetATPG = atpg.Run(pair.Retimed, run.RetFaults, opt)
-			return nil
-		})
-		recordFsim(run.RetATPG.FsimStats)
+		run.RetATPG = atpg.Run(pair.Retimed, run.RetFaults, opt)
 	}
-	if err := observe("preservation", func() error {
-		var err error
-		run.Report, err = pair.CheckPreservation(run.OrigATPG.TestSet, core.FillZeros, 0)
-		return err
-	}); err != nil {
+	if run.Report, err = pair.CheckPreservation(run.OrigATPG.TestSet, core.FillZeros, 0); err != nil {
 		return nil, err
 	}
 	return run, nil

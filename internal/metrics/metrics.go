@@ -4,8 +4,9 @@
 // Registry can be exported through the standard expvar machinery, and
 // Registry.WriteJSON serves the same snapshot directly (the /metrics
 // endpoint of cmd/servd). The service layer records jobs by kind and
-// outcome, queue depth and per-stage latency here; the experiment
-// harness can reuse the same registry via experiments.SetMetrics.
+// outcome, queue depth and per-stage latency here, and the result cache
+// and dispatcher record their counters into the registry they are
+// given.
 package metrics
 
 import (

@@ -117,12 +117,3 @@ func (g *Graph) Materialize(name string) (*netlist.Circuit, *LineMap, error) {
 	}
 	return c, lm, nil
 }
-
-// MustMaterialize is Materialize that panics on error.
-func (g *Graph) MustMaterialize(name string) (*netlist.Circuit, *LineMap) {
-	c, lm, err := g.Materialize(name)
-	if err != nil {
-		panic(err)
-	}
-	return c, lm
-}

@@ -77,12 +77,12 @@ type (
 	ATPGCheckpointConfig = atpg.CheckpointConfig
 	// ResultCache is a content-addressed store of finished results,
 	// keyed by the same (circuit, fault list, options) identity hashes
-	// that bind checkpoints: a sharded in-memory LRU, an optional
+	// that bind checkpoints: a byte-bounded in-memory LRU, an optional
 	// durable tier of checksummed entry files, and single-flight dedup
 	// of concurrent identical computations.
 	ResultCache = resultcache.Cache
-	// ResultCacheConfig tunes a ResultCache (memory budget, shard
-	// count, durable directory, metrics registry).
+	// ResultCacheConfig tunes a ResultCache (memory budget, durable
+	// directory, metrics registry, breaker log hook).
 	ResultCacheConfig = resultcache.Config
 	// ResultCacheKey names one cached result.
 	ResultCacheKey = resultcache.Key
@@ -300,7 +300,7 @@ type (
 	// JobKind selects a job's pipeline.
 	JobKind = service.Kind
 	// MetricsRegistry is the atomic counter/gauge/histogram registry
-	// the service and the experiment harness record into.
+	// the job service and the result cache record into.
 	MetricsRegistry = metrics.Registry
 )
 
