@@ -145,11 +145,12 @@ echo "== cost ledger (gate evaluations, backtracks, fsim work pinned to golden l
 # judged only by benchmarks/e2e -compare over alternating pairs.
 named_test 'TestCostLedger' -count=1 -cpu 1,2 ./internal/experiments/
 
-echo "== alloc-regression gate (steady-state Simulate must stay allocation-free)"
+echo "== alloc-regression gate (steady-state Simulate allocation-free, Machine.Step <= 1 alloc)"
 # Deliberately WITHOUT -race: testing.AllocsPerRun is meaningless under
 # the race detector, so these tests skip themselves there. The budgets
-# live in internal/fsim/alloc_test.go (0 serial, O(workers) parallel).
-summary named_test 'TestSimulateSteadyStateAllocs|TestSimulateParallelSteadyStateAllocs' -count=1 -v ./internal/fsim/
+# live in internal/fsim/alloc_test.go (Simulate: 0 serial, O(workers)
+# parallel; Machine.Step: 1, the returned output vector).
+summary named_test 'TestSimulateSteadyStateAllocs|TestMachineStepAllocs|TestSimulateParallelSteadyStateAllocs' -count=1 -v ./internal/fsim/
 
 echo "== alloc-regression gate (log ring: <= 1 alloc per record, 0 with a prebuilt string)"
 # Same -race caveat; the budget lives in internal/logger/logger_test.go.
