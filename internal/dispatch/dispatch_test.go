@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/atpg"
 	"repro/internal/failpoint"
 	"repro/internal/fault"
+	"repro/internal/fsim"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
 )
@@ -282,5 +286,131 @@ func TestDispatchCancel(t *testing.T) {
 	d := New(testConfig(locals("A"), metrics.NewRegistry()))
 	if _, err := d.RunShards(ctx, c, reps, testOptions(), 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// faultRecorder counts how often each fault was handed to a backend.
+type faultRecorder struct {
+	mu   sync.Mutex
+	seen map[fault.Fault]int
+}
+
+func (r *faultRecorder) take() map[fault.Fault]int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seen := r.seen
+	r.seen = nil
+	return seen
+}
+
+// recordingLocal is a Local backend that records every shard fault it
+// is asked to decide.
+type recordingLocal struct {
+	*Local
+	rec *faultRecorder
+}
+
+func (b recordingLocal) Run(ctx context.Context, spec ShardSpec, progress Progress) ([]atpg.DecidedFault, error) {
+	b.rec.mu.Lock()
+	if b.rec.seen == nil {
+		b.rec.seen = make(map[fault.Fault]int)
+	}
+	for _, f := range spec.Faults {
+		b.rec.seen[f]++
+	}
+	b.rec.mu.Unlock()
+	return b.Local.Run(ctx, spec, progress)
+}
+
+// TestDispatchResumeShardsUndecided: a distributed run that resumes
+// from a partial checkpoint at opt.Checkpoint.Path fans out only the
+// faults the checkpoint left undecided -- the random-phase survivors
+// minus its decided faults and minus the faults its replayed tests
+// detect -- and still merges to a result byte-identical to atpg.Run.
+func TestDispatchResumeShardsUndecided(t *testing.T) {
+	c, reps := testWorkload(t, 7)
+	opt := testOptions()
+	want := atpg.Run(c, reps, opt)
+	ctx := context.Background()
+	rec := &faultRecorder{}
+	backends := []Backend{recordingLocal{NewLocal("A"), rec}, recordingLocal{NewLocal("B"), rec}}
+
+	// A fresh distributed run shards every random-phase survivor once.
+	if _, err := New(testConfig(backends, nil)).RunShards(ctx, c, reps, opt, 0); err != nil {
+		t.Fatal(err)
+	}
+	seen := rec.take()
+	var survivors []fault.Fault
+	for _, f := range reps {
+		if n := seen[f]; n > 1 {
+			t.Fatalf("fresh run sharded %v %d times", f, n)
+		} else if n == 1 {
+			survivors = append(survivors, f)
+		}
+	}
+	if len(seen) != len(survivors) || len(survivors) < 4 {
+		t.Fatalf("fresh run sharded %d faults, %d of them in the fault list; need a few", len(seen), len(survivors))
+	}
+
+	// A partial checkpoint of the same run, cut halfway through the
+	// deterministic phase, left where a retried job finds it.
+	var snaps [][]byte
+	full := opt
+	full.Checkpoint = atpg.CheckpointConfig{Every: 1, OnWrite: func(ck *atpg.Checkpoint, _ error) {
+		snaps = append(snaps, ck.Encode())
+	}}
+	atpg.Run(c, reps, full)
+	if len(snaps) < 3 {
+		t.Fatalf("only %d checkpoints written", len(snaps))
+	}
+	ck, err := atpg.DecodeCheckpoint(snaps[len(snaps)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Decided) == 0 {
+		t.Fatal("halfway checkpoint decided nothing")
+	}
+	path := filepath.Join(t.TempDir(), "job.ckpt")
+	if err := os.WriteFile(path, ck.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// What the checkpoint leaves undecided: drop its decided faults,
+	// then let its tests detect what they detect.
+	s := fsim.NewSimulator(c, survivors)
+	for _, d := range ck.Decided {
+		s.Drop(d.Fault)
+	}
+	for _, d := range ck.Decided {
+		if d.Status == atpg.StatusDetected && s.LiveCount() > 0 {
+			s.Reset()
+			s.Simulate(d.Seq)
+		}
+	}
+	undecided := s.Remaining()
+
+	resumed := opt
+	var installed bool
+	resumed.Checkpoint = atpg.CheckpointConfig{Path: path, OnResume: func(ok bool, _ error) { installed = ok }}
+	got, err := New(testConfig(backends, nil)).RunShards(ctx, c, reps, resumed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !installed {
+		t.Fatal("the distributed run did not resume from the checkpoint")
+	}
+	if !reflect.DeepEqual(normalize(want), normalize(got)) {
+		t.Fatal("resumed distributed result differs from serial Run")
+	}
+	seen = rec.take()
+	for _, f := range undecided {
+		if seen[f] != 1 {
+			t.Errorf("undecided fault %v sharded %d times, want 1", f, seen[f])
+		}
+		delete(seen, f)
+	}
+	if len(seen) > 0 {
+		t.Errorf("resumed run sharded %d faults its checkpoint had already settled (%d survivors, %d undecided)",
+			len(seen), len(survivors), len(undecided))
 	}
 }

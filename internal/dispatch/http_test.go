@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/atpg"
+	"repro/internal/failpoint"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
 )
@@ -271,5 +272,57 @@ func TestWorkerRejectsBadSubmissions(t *testing.T) {
 	buf, _ := json.Marshal(req)
 	if code := post(string(buf)); code != http.StatusBadRequest {
 		t.Fatalf("mismatched resume checkpoint accepted: %d", code)
+	}
+}
+
+// TestWorkerCloseJoinsShards: Close returns only after every shard
+// goroutine has left the engine, so none outlives its Worker. The
+// failpoint holds the shard inside GenerateShard for a short,
+// bounded sleep per fault, which the cancelled shard then notices.
+func TestWorkerCloseJoinsShards(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	failpoint.Enable(atpg.FailpointShardFault, func() error {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		time.Sleep(20 * time.Millisecond)
+		return nil
+	})
+	defer failpoint.Disable(atpg.FailpointShardFault)
+
+	w := NewWorker(WorkerConfig{})
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	c, reps := testWorkload(t, 43)
+	buf, _ := json.Marshal(shardRequest{
+		Name:  c.Name,
+		Bench: netlist.BenchString(c),
+		Fault: toFaultWire(reps),
+		Opt:   toOptionsWire(testOptions()),
+	})
+	resp, err := http.Post(srv.URL+"/v1/shards", "application/json", strings.NewReader(string(buf)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted struct{ ID string }
+	err = json.NewDecoder(resp.Body).Decode(&accepted)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("shard never reached GenerateShard")
+	}
+
+	w.Close()
+	sh := w.lookup(accepted.ID)
+	sh.mu.Lock()
+	state := sh.state
+	sh.mu.Unlock()
+	if state != shardStateFailed {
+		t.Fatalf("Close returned with the shard still %q, want %q", state, shardStateFailed)
 	}
 }
