@@ -196,31 +196,31 @@ func RunContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, o
 }
 
 // runMerge runs the deterministic merge loop behind RunContext and
-// RunContextWithCandidates under the one resume policy: with a
+// RunContextFanOut under the one resume policy: with a
 // Checkpoint.Path and no ResumeFrom installed, a usable file at Path
 // is resumed from (tryResume). The identity hashes cover the run's
 // inputs, not the engine, so a file that validates can still diverge
 // during replay -- one written by an earlier build, say: it is then
 // discarded, reported through OnResume, and the run redone clean once.
 // An explicitly installed ResumeFrom still fails on a mismatch.
-func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup) (*Result, error) {
+func runMerge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, fanOut FanOut) (*Result, error) {
 	resumed, _ := tryResume(&opt, c, faults)
-	res, err := merge(ctx, c, faults, opt, lookup)
+	res, err := merge(ctx, c, faults, opt, fanOut)
 	if resumed && errors.Is(err, ErrCheckpointMismatch) {
 		iofault.Discard(opt.Checkpoint.Path)
 		if opt.Checkpoint.OnResume != nil {
 			opt.Checkpoint.OnResume(false, err)
 		}
 		opt.Checkpoint.ResumeFrom = nil
-		return merge(ctx, c, faults, opt, lookup)
+		return merge(ctx, c, faults, opt, fanOut)
 	}
 	return res, err
 }
 
-// merge is the deterministic merge loop: a non-nil lookup supplies
+// merge is the deterministic merge loop: a non-nil fanOut supplies
 // precomputed per-fault PODEM candidates (distributed shard results)
-// in place of inline generation or local speculation.
-func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup) (*Result, error) {
+// for the survivors in place of inline generation or local speculation.
+func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, fanOut FanOut) (*Result, error) {
 	start := time.Now()
 	res := &Result{
 		Circuit: c,
@@ -274,8 +274,8 @@ func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Op
 	// without re-running PODEM; logged tests are re-graded so the
 	// simulator, the Effort charges and the survivor list advance
 	// through the exact operation sequence of the original run. The
-	// candidate source (inline or speculative) is built only after the
-	// replay, over the post-replay survivors.
+	// candidate source (inline, speculative or fanned out) is built only
+	// after the replay, over the post-replay survivors.
 	if resume != nil {
 		for _, d := range resume.Decided {
 			if err := ctx.Err(); err != nil {
@@ -304,8 +304,14 @@ func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Op
 		}
 	}
 
+	var lookup CandidateLookup
+	if fanOut != nil && len(remaining) > 0 {
+		if lookup, err = fanOut(ctx, remaining); err != nil {
+			return finish(err)
+		}
+	}
 	src = &lookupSource{lookup: lookup, eng: eng}
-	if lookup == nil && opt.Workers > 1 {
+	if fanOut == nil && opt.Workers > 1 {
 		src = newSpeculator(ctx, c, opt, remaining, eng)
 	}
 	for len(remaining) > 0 {
@@ -386,9 +392,9 @@ func gradeTest(ctx context.Context, s *fsim.Simulator, res *Result, seq sim.Seq)
 
 // randomPhase grades the random-phase sequences over s in order until
 // every fault is detected, keeping each sequence that detects something
-// as a test of res, and returns how many it graded in full. It is the
-// one random-phase loop: RunContext and RandomSurvivors both run it, so
-// a dispatcher's survivor list is the one the merge run reaches.
+// as a test of res, and returns how many it graded in full. merge is
+// its one caller, so a run -- local or fanned out -- grades the random
+// sequences once.
 func randomPhase(ctx context.Context, s *fsim.Simulator, res *Result, opt Options) (int, error) {
 	if !opt.RandomPhase || opt.RandomCount <= 0 || opt.RandomLength <= 0 {
 		return 0, nil

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/failpoint"
 	"repro/internal/fault"
-	"repro/internal/fsim"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 )
@@ -26,11 +25,12 @@ import (
 // or how often a shard was retried or migrated mid-flight.
 //
 // GenerateShard is the backend side: a plain fault-by-fault generation
-// loop over one shard, with the PR 5 checkpoint machinery giving it
+// loop over one shard, with the checkpoint machinery giving it
 // durable, migratable partial progress (the decision log is positional
 // over the shard's fault list and bound to it by identity hashes).
-// RunContextWithCandidates is the driver side: RunContext with an
-// external candidate source in place of inline generation.
+// RunContextFanOut is the driver side: RunContext handing the faults
+// left after the random phase and any checkpoint replay to a FanOut
+// hook, whose lookup then replaces inline generation.
 
 // FailpointShardFault is injected before each fresh per-fault
 // generation in GenerateShard; chaos tests arm it to kill a backend
@@ -106,20 +106,6 @@ func ShardCheckpoint(c *netlist.Circuit, faults []fault.Fault, opt Options, deci
 	return ck
 }
 
-// RandomSurvivors runs the random fault-simulation phase exactly as
-// RunContext would and returns the surviving fault list the
-// deterministic phase starts from, in fault-list order. Dispatchers
-// shard this list: the merge run's own random phase is a pure function
-// of Options and reproduces the identical survivors.
-func RandomSurvivors(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options) ([]fault.Fault, error) {
-	s := fsim.NewSimulator(c, faults)
-	scratch := &Result{Circuit: c, Status: make(map[fault.Fault]FaultStatus)}
-	if _, err := randomPhase(ctx, s, scratch, opt); err != nil {
-		return nil, err
-	}
-	return s.Remaining(), nil
-}
-
 // CandidateLookup supplies precomputed PODEM candidates to the merge
 // driver. It is consulted once per target fault; a miss falls back to
 // inline generation on the driver's own engine, which preserves
@@ -127,15 +113,24 @@ func RandomSurvivors(ctx context.Context, c *netlist.Circuit, faults []fault.Fau
 // same pure function of circuit, options and fault).
 type CandidateLookup func(fault.Fault) (DecidedFault, bool)
 
-// RunContextWithCandidates is RunContext with an external candidate
-// source: the deterministic merge loop takes each target's PODEM
-// outcome from lookup instead of generating it inline, while the
-// random phase, grading, fault dropping and effort accounting all run
+// FanOut is the merge loop's one fan-out seam. RunContextFanOut calls
+// it once, after the random phase and any checkpoint replay, with the
+// faults still undecided in fault-list order -- the deterministic
+// phase's targets -- and takes their candidates from the returned
+// lookup. It is not called when nothing survives; an error ends the
+// run like any other, with the partial result.
+type FanOut func(ctx context.Context, survivors []fault.Fault) (CandidateLookup, error)
+
+// RunContextFanOut is RunContext with an external candidate source:
+// fanOut precomputes the survivors' PODEM outcomes (distributed
+// shards), and the merge loop takes each target's outcome from the
+// lookup it returns instead of generating it inline, while the random
+// phase, grading, fault dropping and effort accounting all run
 // locally, byte-identical to Run. Candidates supersede Options.Workers
 // (no local speculators are started), so Result.Parallel is nil, as on
 // a serial run.
-func RunContextWithCandidates(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, lookup CandidateLookup) (*Result, error) {
-	return runMerge(ctx, c, faults, opt, lookup)
+func RunContextFanOut(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, fanOut FanOut) (*Result, error) {
+	return runMerge(ctx, c, faults, opt, fanOut)
 }
 
 // lookupSource feeds the merge loop from a CandidateLookup, generating

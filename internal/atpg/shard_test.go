@@ -2,11 +2,14 @@ package atpg
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/failpoint"
 	"repro/internal/fault"
+	"repro/internal/netlist"
 )
 
 // shardLookup builds a CandidateLookup over a set of decision logs.
@@ -23,37 +26,51 @@ func shardLookup(logs ...[]DecidedFault) CandidateLookup {
 	}
 }
 
+// survivorsOf returns the faults the merge loop hands its FanOut hook
+// -- the random phase's survivors -- stopping the run there.
+func survivorsOf(t *testing.T, c *netlist.Circuit, reps []fault.Fault, opt Options) []fault.Fault {
+	t.Helper()
+	errStop := errors.New("stop at the fan-out")
+	var survivors []fault.Fault
+	_, err := RunContextFanOut(context.Background(), c, reps, opt, func(_ context.Context, s []fault.Fault) (CandidateLookup, error) {
+		survivors = s
+		return nil, errStop
+	})
+	if err != nil && !errors.Is(err, errStop) {
+		t.Fatal(err)
+	}
+	return survivors
+}
+
 // TestShardedByteIdentical is the distributed core contract: slicing
-// the survivor list into shards, precomputing each shard with
-// GenerateShard, and merging through RunContextWithCandidates yields a
-// Result byte-identical to Run at every shard count.
+// the survivor list the FanOut hook receives into shards, precomputing
+// each shard with GenerateShard, and merging through RunContextFanOut
+// yields a Result byte-identical to Run at every shard count.
 func TestShardedByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range parallelWorkloads(t) {
 		reps, _ := fault.Collapse(c)
 		opt := parallelOptions()
 		want := Run(c, reps, opt)
-		survivors, err := RandomSurvivors(ctx, c, reps, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, shards := range []int{1, 2, 4} {
-			logs := make([][]DecidedFault, 0, shards)
-			for i := 0; i < shards; i++ {
-				lo, hi := i*len(survivors)/shards, (i+1)*len(survivors)/shards
-				if lo == hi {
-					continue
+			got, err := RunContextFanOut(ctx, c, reps, opt, func(ctx context.Context, survivors []fault.Fault) (CandidateLookup, error) {
+				logs := make([][]DecidedFault, 0, shards)
+				for i := 0; i < shards; i++ {
+					lo, hi := i*len(survivors)/shards, (i+1)*len(survivors)/shards
+					if lo == hi {
+						continue
+					}
+					log, err := GenerateShard(ctx, c, survivors[lo:hi], opt)
+					if err != nil {
+						return nil, fmt.Errorf("%s shard %d/%d: %w", c.Name, i, shards, err)
+					}
+					if len(log) != hi-lo {
+						return nil, fmt.Errorf("%s shard %d/%d: %d decisions for %d faults", c.Name, i, shards, len(log), hi-lo)
+					}
+					logs = append(logs, log)
 				}
-				log, err := GenerateShard(ctx, c, survivors[lo:hi], opt)
-				if err != nil {
-					t.Fatalf("%s shard %d/%d: %v", c.Name, i, shards, err)
-				}
-				if len(log) != hi-lo {
-					t.Fatalf("%s shard %d/%d: %d decisions for %d faults", c.Name, i, shards, len(log), hi-lo)
-				}
-				logs = append(logs, log)
-			}
-			got, err := RunContextWithCandidates(ctx, c, reps, opt, shardLookup(logs...))
+				return shardLookup(logs...), nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,8 +92,9 @@ func TestLookupMissFallsBackInline(t *testing.T) {
 	reps, _ := fault.Collapse(c)
 	opt := parallelOptions()
 	want := Run(c, reps, opt)
-	got, err := RunContextWithCandidates(context.Background(), c, reps, opt,
-		func(fault.Fault) (DecidedFault, bool) { return DecidedFault{}, false })
+	got, err := RunContextFanOut(context.Background(), c, reps, opt, func(context.Context, []fault.Fault) (CandidateLookup, error) {
+		return func(fault.Fault) (DecidedFault, bool) { return DecidedFault{}, false }, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +111,7 @@ func TestGenerateShardResume(t *testing.T) {
 	c := parallelWorkloads(t)[2]
 	reps, _ := fault.Collapse(c)
 	opt := parallelOptions()
-	survivors, err := RandomSurvivors(ctx, c, reps, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	survivors := survivorsOf(t, c, reps, opt)
 	if len(survivors) < 4 {
 		t.Skipf("only %d survivors, need a few to split", len(survivors))
 	}
@@ -162,10 +177,7 @@ func TestShardCheckpointRoundTrip(t *testing.T) {
 	c := parallelWorkloads(t)[0]
 	reps, _ := fault.Collapse(c)
 	opt := parallelOptions()
-	survivors, err := RandomSurvivors(ctx, c, reps, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	survivors := survivorsOf(t, c, reps, opt)
 	log, err := GenerateShard(ctx, c, survivors, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -186,5 +198,31 @@ func TestShardCheckpointRoundTrip(t *testing.T) {
 		if err := back.Validate(c, survivors[1:], opt); err == nil {
 			t.Fatal("checkpoint validated against the wrong fault list")
 		}
+	}
+}
+
+// TestFanOutSkippedWhenNothingSurvives: when the random phase detects
+// every fault the FanOut hook is never called and the result still
+// equals Run.
+func TestFanOutSkippedWhenNothingSurvives(t *testing.T) {
+	c, err := netlist.ParseBenchString("and2", "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, _ := fault.Collapse(c)
+	opt := DefaultOptions()
+	want := Run(c, reps, opt)
+	if det, _, _ := want.Counts(); det != len(reps) || len(want.Tests) == 0 {
+		t.Fatalf("random phase detected %d of %d faults with %d tests; the test needs all", det, len(reps), len(want.Tests))
+	}
+	got, err := RunContextFanOut(context.Background(), c, reps, opt, func(context.Context, []fault.Fault) (CandidateLookup, error) {
+		t.Error("FanOut called with nothing left after the random phase")
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(normalize(want), normalize(got)) {
+		t.Fatal("result differs from serial Run")
 	}
 }

@@ -9,14 +9,14 @@
 // Correctness is anchored on two existing invariants. Per-fault PODEM
 // generation is a pure function of (circuit, options, fault), so shard
 // backends only precompute what the serial loop would compute anyway
-// (atpg.GenerateShard); the results flow through the deterministic
-// merge driver (atpg.RunContextWithCandidates), making the merged
-// Result byte-identical to a serial atpg.Run at every backend count,
-// under every failure and migration schedule. And the PR 5 checkpoint
-// format is worker-count independent and bound to its (circuit, fault
-// list, options) identity by hashes, so migrated partial work is
-// validated before it is trusted -- a poisoned or torn checkpoint is
-// rejected, never merged.
+// (atpg.GenerateShard); the merge run (atpg.RunContextFanOut) hands
+// its random-phase survivors to the fan-out and takes the shard
+// results as candidates, making the merged Result byte-identical to a
+// serial atpg.Run at every backend count, under every failure and
+// migration schedule. And the checkpoint format is worker-count
+// independent and bound to its (circuit, fault list, options) identity
+// by hashes, so migrated partial work is validated before it is
+// trusted -- a poisoned or torn checkpoint is rejected, never merged.
 package dispatch
 
 import (

@@ -218,13 +218,15 @@ func validShardLog(c *netlist.Circuit, faults []fault.Fault, opt atpg.Options, c
 	return true
 }
 
-// RunShards executes ATPG for (c, faults, opt) with the fault list
-// fanned out across the configured backends in nShards shards (0: two
-// per backend; always clamped to the survivor count), returning a
-// Result byte-identical to a serial atpg.Run (modulo wall-clock
-// Effort.Time; Result.Parallel is nil as on a serial run). The shard
-// count is result-neutral. With no backends configured it simply runs
-// locally. Shard failures retry with capped jittered backoff; a dead
+// RunShards executes ATPG for (c, faults, opt) with the random-phase
+// survivors fanned out across the configured backends in nShards
+// shards (0: two per backend; always clamped to the survivor count),
+// returning a Result byte-identical to a serial atpg.Run (modulo
+// wall-clock Effort.Time; Result.Parallel is nil as on a serial run).
+// The shard count is result-neutral. With no backends configured it
+// simply runs locally. A run resuming from a checkpoint at
+// opt.Checkpoint.Path shards only the faults the checkpoint left
+// undecided. Shard failures retry with capped jittered backoff; a dead
 // backend's partial work migrates to a survivor via its last validated
 // checkpoint; when no backend is usable the shard degrades to local
 // in-process execution, so RunShards only fails on context
@@ -233,71 +235,55 @@ func (d *Dispatcher) RunShards(ctx context.Context, c *netlist.Circuit, faults [
 	if len(d.backends) == 0 {
 		return atpg.RunContext(ctx, c, faults, opt)
 	}
-	// The random phase is a pure function of Options: compute the
-	// survivors locally, shard only those, and let the merge run's own
-	// random phase reproduce the identical grading.
-	survivors, err := atpg.RandomSurvivors(ctx, c, faults, opt)
-	if err != nil {
-		return nil, err
-	}
-	shards := d.partition(survivors, nShards)
-	if len(shards) > 0 {
-		stopHB := d.startHeartbeats(ctx)
-		defer stopHB()
-
-		bench := netlist.BenchString(c)
-		var wg sync.WaitGroup
-		logs := make([][]atpg.DecidedFault, len(shards))
-		errs := make([]error, len(shards))
-		for i, sh := range shards {
-			wg.Add(1)
-			go func(i int, sh *shardRun) {
-				defer wg.Done()
-				logs[i], errs[i] = d.runShard(ctx, c, bench, opt, sh)
-			}(i, sh)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		lookup := make(map[fault.Fault]atpg.DecidedFault, len(survivors))
-		for _, log := range logs {
-			for _, dd := range log {
-				lookup[dd.Fault] = dd
-			}
-		}
-		return atpg.RunContextWithCandidates(ctx, c, faults, opt, func(f fault.Fault) (atpg.DecidedFault, bool) {
-			dd, ok := lookup[f]
-			return dd, ok
-		})
-	}
-	// Nothing survived the random phase; the merge run handles it all.
-	return atpg.RunContextWithCandidates(ctx, c, faults, opt, func(fault.Fault) (atpg.DecidedFault, bool) {
-		return atpg.DecidedFault{}, false
+	return atpg.RunContextFanOut(ctx, c, faults, opt, func(ctx context.Context, survivors []fault.Fault) (atpg.CandidateLookup, error) {
+		return d.fanOut(ctx, c, opt, d.partition(survivors, nShards))
 	})
 }
 
-// partition slices the survivors into contiguous shards.
-func (d *Dispatcher) partition(survivors []fault.Fault, nShards int) []*shardRun {
-	if len(survivors) == 0 {
-		return nil
+// fanOut runs every shard to a complete decision log across the
+// backends and indexes the logs by fault for the merge loop.
+func (d *Dispatcher) fanOut(ctx context.Context, c *netlist.Circuit, opt atpg.Options, shards []*shardRun) (atpg.CandidateLookup, error) {
+	stopHB := d.startHeartbeats(ctx)
+	defer stopHB()
+
+	bench := netlist.BenchString(c)
+	var wg sync.WaitGroup
+	logs := make([][]atpg.DecidedFault, len(shards))
+	errs := make([]error, len(shards))
+	for i, sh := range shards {
+		wg.Add(1)
+		go func(i int, sh *shardRun) {
+			defer wg.Done()
+			logs[i], errs[i] = d.runShard(ctx, c, bench, opt, sh)
+		}(i, sh)
 	}
+	wg.Wait()
+	lookup := make(map[fault.Fault]atpg.DecidedFault)
+	for i, log := range logs {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		for _, dd := range log {
+			lookup[dd.Fault] = dd
+		}
+	}
+	return func(f fault.Fault) (atpg.DecidedFault, bool) {
+		dd, ok := lookup[f]
+		return dd, ok
+	}, nil
+}
+
+// partition slices a non-empty survivor list into contiguous shards.
+func (d *Dispatcher) partition(survivors []fault.Fault, nShards int) []*shardRun {
 	n := nShards
 	if n <= 0 {
 		n = shardsPerBackend * len(d.backends)
 	}
-	if n > len(survivors) {
-		n = len(survivors)
-	}
-	if n < 1 {
-		n = 1
-	}
-	shards := make([]*shardRun, 0, n)
-	for i := 0; i < n; i++ {
+	n = min(n, len(survivors))
+	shards := make([]*shardRun, n)
+	for i := range shards {
 		lo, hi := i*len(survivors)/n, (i+1)*len(survivors)/n
-		shards = append(shards, &shardRun{idx: i, faults: survivors[lo:hi]})
+		shards[i] = &shardRun{idx: i, faults: survivors[lo:hi]}
 	}
 	return shards
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -71,6 +70,22 @@ func testConfig(backends []Backend, reg *metrics.Registry) Config {
 		Metrics:          reg,
 		Seed:             1,
 	}
+}
+
+// survivorsOf returns the faults RunShards fans out on a fresh run --
+// the random phase's survivors -- by stopping a run at its fan-out.
+func survivorsOf(t *testing.T, c *netlist.Circuit, reps []fault.Fault, opt atpg.Options) []fault.Fault {
+	t.Helper()
+	errStop := errors.New("stop at the fan-out")
+	var survivors []fault.Fault
+	_, err := atpg.RunContextFanOut(context.Background(), c, reps, opt, func(_ context.Context, s []fault.Fault) (atpg.CandidateLookup, error) {
+		survivors = s
+		return nil, errStop
+	})
+	if err != nil && !errors.Is(err, errStop) {
+		t.Fatal(err)
+	}
+	return survivors
 }
 
 // TestDispatchByteIdentical: the merged result equals serial atpg.Run
@@ -176,10 +191,7 @@ func TestDispatchRetryLadder(t *testing.T) {
 		reg := metrics.NewRegistry()
 		cfg := testConfig(locals("A", "B"), reg)
 		d := New(cfg)
-		survivors, err := atpg.RandomSurvivors(ctx, c, reps, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		survivors := survivorsOf(t, c, reps, opt)
 		if len(survivors) < 3 {
 			t.Skipf("only %d survivors", len(survivors))
 		}
@@ -339,17 +351,18 @@ func TestDispatchResumeShardsUndecided(t *testing.T) {
 	if _, err := New(testConfig(backends, nil)).RunShards(ctx, c, reps, opt, 0); err != nil {
 		t.Fatal(err)
 	}
+	survivors := survivorsOf(t, c, reps, opt)
+	if len(survivors) < 4 {
+		t.Fatalf("only %d survivors; the test needs a few", len(survivors))
+	}
 	seen := rec.take()
-	var survivors []fault.Fault
-	for _, f := range reps {
-		if n := seen[f]; n > 1 {
-			t.Fatalf("fresh run sharded %v %d times", f, n)
-		} else if n == 1 {
-			survivors = append(survivors, f)
+	for _, f := range survivors {
+		if seen[f] != 1 {
+			t.Fatalf("fresh run sharded survivor %v %d times, want 1", f, seen[f])
 		}
 	}
-	if len(seen) != len(survivors) || len(survivors) < 4 {
-		t.Fatalf("fresh run sharded %d faults, %d of them in the fault list; need a few", len(seen), len(survivors))
+	if len(seen) != len(survivors) {
+		t.Fatalf("fresh run sharded %d faults for %d survivors", len(seen), len(survivors))
 	}
 
 	// A partial checkpoint of the same run, cut halfway through the
@@ -371,7 +384,7 @@ func TestDispatchResumeShardsUndecided(t *testing.T) {
 		t.Fatal("halfway checkpoint decided nothing")
 	}
 	path := filepath.Join(t.TempDir(), "job.ckpt")
-	if err := os.WriteFile(path, ck.Encode(), 0o644); err != nil {
+	if err := ck.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 

@@ -39,6 +39,9 @@ type Worker struct {
 	closed bool
 	nextID int
 	shards map[string]*workerShard
+	// running joins the run goroutines; each is added under mu while
+	// closed is false, so no Add races Close's Wait.
+	running sync.WaitGroup
 }
 
 // WorkerConfig tunes a Worker.
@@ -96,7 +99,8 @@ func (w *Worker) StartDraining() {
 	w.draining.Store(true)
 }
 
-// Close cancels every in-flight shard and rejects new submissions.
+// Close cancels every in-flight shard, rejects new submissions and
+// returns once every shard goroutine has exited.
 func (w *Worker) Close() {
 	w.mu.Lock()
 	w.closed = true
@@ -108,6 +112,7 @@ func (w *Worker) Close() {
 	for _, sh := range shards {
 		sh.cancel()
 	}
+	w.running.Wait()
 }
 
 // Handler returns the worker's HTTP mux: the shard protocol plus
@@ -185,6 +190,7 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 	w.nextID++
 	id := fmt.Sprintf("s%d", w.nextID)
 	w.shards[id] = sh
+	w.running.Add(1)
 	w.mu.Unlock()
 	w.count("worker.shards.accepted")
 
@@ -204,6 +210,7 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 // shard must never take down the worker process and the other shards
 // it is running.
 func (w *Worker) run(ctx context.Context, sh *workerShard, id, reqID string, work *shardWork) {
+	defer w.running.Done()
 	defer func() {
 		if v := recover(); v != nil {
 			w.log.Errorf("id=%s shard=%s panic: %v\n%s", reqID, id, v, debug.Stack())

@@ -42,12 +42,6 @@ func (g *Graph) MinRegistersContext(ctx context.Context) (Retiming, int, error) 
 // constraints to the flow network. It requires the W/D matrices, so it
 // is subject to MaxWDVertices.
 func (g *Graph) MinRegistersAtPeriod(c int) (Retiming, int, error) {
-	return g.MinRegistersAtPeriodContext(context.Background(), c)
-}
-
-// MinRegistersAtPeriodContext is MinRegistersAtPeriod with cooperative
-// cancellation (see MinRegistersContext).
-func (g *Graph) MinRegistersAtPeriodContext(ctx context.Context, c int) (Retiming, int, error) {
 	W, D, err := g.WDMatrices()
 	if err != nil {
 		return nil, 0, err
@@ -63,7 +57,7 @@ func (g *Graph) MinRegistersAtPeriodContext(ctx context.Context, c int) (Retimin
 			}
 		}
 	}
-	r, count, err := g.minRegistersWith(ctx, extras)
+	r, count, err := g.minRegistersWith(context.Background(), extras)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -95,6 +95,12 @@ echo "== go test -race (dispatch fan-out: retry ladder, migration, degrade, byte
 # each asserting byte-identity against serial atpg.Run, plus the HTTP
 # worker protocol (torn heartbeat, poisoned response, stuck backend).
 go test -race -count=1 ./internal/dispatch/ ./cmd/workerd/
+# The atpg side of the shard contract (GenerateShard, RunContextFanOut)
+# runs in the -race -short ./... pass below; TestShardedByteIdentical
+# alone takes ~2 min under -race, so only its name is pinned here, where
+# a rename would otherwise go unnoticed.
+require_tests 'TestSharded|TestGenerateShard|TestLookupMiss|TestFanOutSkipped|TestDispatchResumeShardsUndecided|TestWorkerCloseJoinsShards' \
+    ./internal/atpg/ ./internal/dispatch/
 
 echo "== dispatch kill-a-worker smoke (real processes: servd + 2 workerd, SIGKILL one mid-run)"
 # Starts two workerd workers (one slowed via a failpoint sleep) and a
