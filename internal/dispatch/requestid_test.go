@@ -26,7 +26,10 @@ func TestRequestIDReachesWorker(t *testing.T) {
 	opt := testOptions()
 	want := atpg.Run(c, reps, opt)
 
-	wlog := logger.New(logger.Debug, 256)
+	// The access log records every 2 ms poll, so the ring must hold a
+	// few seconds of them or the shards' "accepted" records roll out
+	// before the check below reads them.
+	wlog := logger.New(logger.Debug, 1<<14)
 	w := NewWorker(WorkerConfig{MaxConcurrent: 2, Metrics: metrics.NewRegistry(), Logger: wlog})
 	t.Cleanup(w.Close)
 
@@ -66,8 +69,12 @@ func TestRequestIDReachesWorker(t *testing.T) {
 	if n := headerIDs[""]; n != 0 {
 		t.Fatalf("%d worker requests arrived without a request id", n)
 	}
+	recs := wlog.Tail(0)
+	if len(recs) == 0 || recs[0].Seq != 1 {
+		t.Fatalf("worker log ring wrapped (%d records kept); the lifecycle check needs them all", len(recs))
+	}
 	var accepted, done bool
-	for _, rec := range wlog.Tail(0) {
+	for _, rec := range recs {
 		if strings.Contains(rec.Msg, "id="+reqID+" shard=") {
 			if strings.Contains(rec.Msg, "accepted") {
 				accepted = true
