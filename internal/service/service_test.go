@@ -203,6 +203,61 @@ func TestATPGWorkersClamped(t *testing.T) {
 	}
 }
 
+// TestATPGJobWorkersKeepsFsimMetrics: the fsim.* metrics report the
+// merge grader's simulation, so a workers job leaves the same
+// fsim.events_per_cycle gauge and the same fsim counter increments as
+// the serial job of the same request. Speculation must not add work of
+// its own there or overwrite the gauge. The cache is off so both jobs
+// run; GOMAXPROCS 2 keeps the service clamp from reducing workers to 1.
+func TestATPGJobWorkersKeepsFsimMetrics(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	s := newTestService(t, Config{Workers: 1, CacheBytes: -1})
+	rng := rand.New(rand.NewSource(7))
+	c := netlist.Random(rng, netlist.RandomParams{
+		Inputs: 4, Outputs: 3, Gates: 40, DFFs: 5, MaxFanin: 4,
+	})
+	spec := ATPGSpec{MaxFrames: 4, MaxBacktracks: 30, MaxEvalsPerFault: 20_000}
+	names := []string{"fsim.evals", "fsim.cycles", "fsim.drops", "fsim.repacks"}
+	// run submits one job and returns the fsim counter increments it
+	// caused and the gauge it left.
+	run := func(workers int) (map[string]int64, int64) {
+		before := map[string]int64{}
+		for _, n := range names {
+			before[n] = s.Metrics().Counter(n).Value()
+		}
+		sp := spec
+		sp.Workers = workers
+		id, err := s.Submit(Request{Kind: KindATPG, Bench: netlist.BenchString(c), ATPG: &sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := waitDone(t, s, id); v.Status != StatusDone {
+			t.Fatalf("workers=%d: status %s, error %q", workers, v.Status, v.Error)
+		}
+		delta := map[string]int64{}
+		for _, n := range names {
+			delta[n] = s.Metrics().Counter(n).Value() - before[n]
+		}
+		return delta, s.Metrics().Gauge("fsim.events_per_cycle").Value()
+	}
+	serialDelta, serialGauge := run(0)
+	parallelDelta, parallelGauge := run(2)
+	if s.Metrics().Counter("atpg.parallel.runs").Value() != 1 {
+		t.Fatal("the workers job did not run the speculator")
+	}
+	if parallelGauge != serialGauge {
+		t.Errorf("fsim.events_per_cycle = %d after the workers job, %d after the serial one",
+			parallelGauge, serialGauge)
+	}
+	for _, n := range names {
+		if parallelDelta[n] != serialDelta[n] {
+			t.Errorf("%s grew by %d on the workers job, %d on the serial one",
+				n, parallelDelta[n], serialDelta[n])
+		}
+	}
+}
+
 func TestFaultSimJob(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
 	c := netlist.Fig2C1()
