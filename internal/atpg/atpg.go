@@ -231,7 +231,7 @@ func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Op
 	// faults are never packed or simulated again.
 	s := fsim.NewSimulator(c, faults)
 	ckw := newCkWriter(c, faults, opt)
-	var src candidateSource
+	var spec *speculator
 	finish := func(err error) (*Result, error) {
 		// Flush the tail of the decision log on every exit -- completion,
 		// cancellation (SIGINT), grade failure -- except when the error is
@@ -240,9 +240,9 @@ func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Op
 		if !isCheckpointErr(err) {
 			ckw.final()
 		}
-		if src != nil {
-			src.close()
-			res.Parallel = src.parallelStats()
+		if spec != nil {
+			spec.close()
+			res.Parallel = spec.stats()
 		}
 		res.FsimStats = s.Stats()
 		res.Effort.Time = time.Since(start)
@@ -274,8 +274,8 @@ func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Op
 	// without re-running PODEM; logged tests are re-graded so the
 	// simulator, the Effort charges and the survivor list advance
 	// through the exact operation sequence of the original run. The
-	// candidate source (inline, speculative or fanned out) is built only
-	// after the replay, over the post-replay survivors.
+	// fan-out or the speculator starts only after the replay, over the
+	// post-replay survivors.
 	if resume != nil {
 		for _, d := range resume.Decided {
 			if err := ctx.Err(); err != nil {
@@ -304,15 +304,27 @@ func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Op
 		}
 	}
 
-	var lookup CandidateLookup
-	if fanOut != nil && len(remaining) > 0 {
-		if lookup, err = fanOut(ctx, remaining); err != nil {
+	// next yields each target's candidate: from the fan-out's lookup,
+	// from the speculator, or generated inline -- the same pure function
+	// of circuit, options and fault whichever supplies it.
+	next := eng.candidate
+	switch {
+	case fanOut != nil && len(remaining) > 0:
+		lookup, err := fanOut(ctx, remaining)
+		if err != nil {
 			return finish(err)
 		}
-	}
-	src = &lookupSource{lookup: lookup, eng: eng}
-	if fanOut == nil && opt.Workers > 1 {
-		src = newSpeculator(ctx, c, opt, remaining, eng)
+		if lookup != nil {
+			next = func(f fault.Fault) genCandidate {
+				if d, ok := lookup(f); ok {
+					return genCandidate{seq: d.Seq, status: d.Status, evals: d.Evals, backtracks: d.Backtracks}
+				}
+				return eng.candidate(f)
+			}
+		}
+	case fanOut == nil && opt.Workers > 1:
+		spec = newSpeculator(ctx, c, opt, remaining, eng)
+		next = spec.next
 	}
 	for len(remaining) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -329,7 +341,7 @@ func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Op
 			ckw.decided(DecidedFault{Fault: f, Status: StatusAborted})
 			continue
 		}
-		cand := src.next(f)
+		cand := next(f)
 		res.Effort.Evals += cand.evals
 		res.Effort.Backtracks += cand.backtracks
 		res.Status[f] = cand.status
@@ -347,13 +359,16 @@ func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Op
 		res.addTest(cand.seq)
 		// Fault dropping: simulate the new test over the survivors.
 		if s.LiveCount() > 0 {
-			if _, err := gradeTest(ctx, s, res, cand.seq); err != nil {
+			newly, err := gradeTest(ctx, s, res, cand.seq)
+			if err != nil {
 				// The grade was cut off mid-sequence; like a cancelled
 				// search this iteration is not logged and is redone in
 				// full on resume.
 				return finish(err)
 			}
-			src.accepted(cand.seq)
+			if spec != nil {
+				spec.retired(newly)
+			}
 			remaining = s.Remaining()
 		}
 		ckw.decided(DecidedFault{Fault: f, Status: StatusDetected,
@@ -378,8 +393,8 @@ func (r *Result) addTest(seq sim.Seq) {
 // (cycles x nodes x word groups over the survivors), not the much
 // smaller measured event-driven work, so MaxEvalsTotal budgets keep
 // their pre-incremental meaning; FsimStats carries the real counts. It
-// reports whether seq detected anything.
-func gradeTest(ctx context.Context, s *fsim.Simulator, res *Result, seq sim.Seq) (bool, error) {
+// returns the faults seq newly detected.
+func gradeTest(ctx context.Context, s *fsim.Simulator, res *Result, seq sim.Seq) ([]fault.Fault, error) {
 	live := s.LiveCount()
 	s.Reset()
 	newly, err := s.SimulateContext(ctx, seq)
@@ -387,7 +402,7 @@ func gradeTest(ctx context.Context, s *fsim.Simulator, res *Result, seq sim.Seq)
 	for _, f := range newly {
 		res.Status[f] = StatusDetected
 	}
-	return len(newly) > 0, err
+	return newly, err
 }
 
 // randomPhase grades the random-phase sequences over s in order until
@@ -407,8 +422,8 @@ func randomPhase(ctx context.Context, s *fsim.Simulator, res *Result, opt Option
 		if s.LiveCount() == 0 {
 			break
 		}
-		detected, err := gradeTest(ctx, s, res, seq)
-		if detected {
+		newly, err := gradeTest(ctx, s, res, seq)
+		if len(newly) > 0 {
 			res.addTest(seq)
 		}
 		if err != nil {

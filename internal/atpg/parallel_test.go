@@ -180,3 +180,53 @@ func TestParallelWorkersOptionPlumbed(t *testing.T) {
 		t.Fatal("Workers=3 via Options differs from serial Run")
 	}
 }
+
+// TestParallelRetiredSlotSkipped drives the speculator the way merge
+// does, over more survivors than the initial window: a fault the driver
+// retires before its frontier reaches it is skipped by the worker that
+// claims it (never generated) and counted as fortuitous, and every
+// other target's candidate equals inline generation.
+func TestParallelRetiredSlotSkipped(t *testing.T) {
+	c := parallelWorkloads(t)[2]
+	reps, _ := fault.Collapse(c)
+	opt := parallelOptions()
+	opt.Workers = 2
+	window := specWindow * opt.Workers
+	if len(reps) < window+4 {
+		t.Fatalf("need more than %d survivors, have %d", window+3, len(reps))
+	}
+	survivors := reps[:window+4]
+	retired := window + 2
+
+	sp := newSpeculator(context.Background(), c, opt, survivors, newEngine(c, opt))
+	// Workers hold window tokens, so slot `retired` is out of their reach
+	// until the driver requests a slot at or beyond it.
+	sp.retired([]fault.Fault{survivors[retired]})
+	for i, f := range survivors {
+		if i == retired {
+			continue // merge never targets a retired fault
+		}
+		got := sp.next(f)
+		if want := newEngine(c, opt).candidate(f); !reflect.DeepEqual(got, want) {
+			t.Fatalf("slot %d: candidate differs from inline generation", i)
+		}
+	}
+	// The frontier now covers every slot, so each worker scans to the
+	// end of the list and returns on its own.
+	sp.wg.Wait()
+	sp.close()
+	if cand := <-sp.slots[retired].cand; cand != nil {
+		t.Fatal("a worker generated a candidate for the retired fault")
+	}
+	st := sp.stats()
+	if st.Fortuitous != 1 {
+		t.Fatalf("Fortuitous = %d, want 1", st.Fortuitous)
+	}
+	if st.Speculated != st.Used+st.Wasted {
+		t.Fatalf("speculated %d != used %d + wasted %d", st.Speculated, st.Used, st.Wasted)
+	}
+	if got := st.Speculated + st.DriverGenerated; got != int64(len(survivors)-1) {
+		t.Fatalf("speculated %d + driver-generated %d != %d targets",
+			st.Speculated, st.DriverGenerated, len(survivors)-1)
+	}
+}

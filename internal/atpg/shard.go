@@ -7,7 +7,6 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/fault"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
 // Distributed sharding support.
@@ -132,24 +131,3 @@ type FanOut func(ctx context.Context, survivors []fault.Fault) (CandidateLookup,
 func RunContextFanOut(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Options, fanOut FanOut) (*Result, error) {
 	return runMerge(ctx, c, faults, opt, fanOut)
 }
-
-// lookupSource feeds the merge loop from a CandidateLookup, generating
-// inline on the driver's engine when the lookup misses or is nil (the
-// serial run).
-type lookupSource struct {
-	lookup CandidateLookup
-	eng    *engine
-}
-
-func (s *lookupSource) next(f fault.Fault) genCandidate {
-	if s.lookup != nil {
-		if d, ok := s.lookup(f); ok {
-			return genCandidate{seq: d.Seq, status: d.Status, evals: d.Evals, backtracks: d.Backtracks}
-		}
-	}
-	return s.eng.candidate(f)
-}
-
-func (s *lookupSource) accepted(sim.Seq)              {}
-func (s *lookupSource) close()                        {}
-func (s *lookupSource) parallelStats() *ParallelStats { return nil }

@@ -48,11 +48,18 @@ func survivorsOf(t *testing.T, c *netlist.Circuit, reps []fault.Fault, opt Optio
 // yields a Result byte-identical to Run at every shard count.
 func TestShardedByteIdentical(t *testing.T) {
 	ctx := context.Background()
-	for _, c := range parallelWorkloads(t) {
+	workloads := parallelWorkloads(t)
+	for i, c := range workloads {
 		reps, _ := fault.Collapse(c)
 		opt := parallelOptions()
 		want := Run(c, reps, opt)
-		for _, shards := range []int{1, 2, 4} {
+		shardCounts := []int{1, 2, 4}
+		if testing.Short() && i == len(workloads)-1 {
+			// The synthesized dk16 FSM, parallelWorkloads' last circuit,
+			// takes most of the time: -short checks it at one shard count.
+			shardCounts = []int{2}
+		}
+		for _, shards := range shardCounts {
 			got, err := RunContextFanOut(ctx, c, reps, opt, func(ctx context.Context, survivors []fault.Fault) (CandidateLookup, error) {
 				logs := make([][]DecidedFault, 0, shards)
 				for i := 0; i < shards; i++ {

@@ -33,6 +33,8 @@ func TestSimulateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(5))
 	c := netlist.Random(rng, netlist.RandomParams{
 		Inputs: 6, Outputs: 6, Gates: 150, DFFs: 12, MaxFanin: 4,
@@ -40,7 +42,6 @@ func TestSimulateSteadyStateAllocs(t *testing.T) {
 	faults := fault.Universe(c)
 	seq := randomSeq(rng, len(c.Inputs), 96)
 	s := NewSimulator(c, faults)
-	s.SetMaxWorkers(1)
 	// Warm-up: the first call grows every arena and detects what the
 	// sequence can detect; the second settles the post-detection repack.
 	s.Simulate(seq)
@@ -72,7 +73,6 @@ func TestSimulateParallelSteadyStateAllocs(t *testing.T) {
 	faults := fault.Universe(c)
 	seq := randomSeq(rng, len(c.Inputs), 160) // two good-machine blocks
 	s := NewSimulator(c, faults)
-	s.SetMaxWorkers(4)
 	s.Simulate(seq)
 	s.Reset()
 	s.Simulate(seq)

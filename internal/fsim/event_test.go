@@ -2,7 +2,6 @@ package fsim
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -202,78 +201,5 @@ func TestRunStatsPopulated(t *testing.T) {
 	}
 	if res.Detected() > 0 && res.Stats.Drops == 0 {
 		t.Fatal("detections must count as drops")
-	}
-}
-
-// TestSimulatorAlive checks the shard-side liveness query the parallel
-// ATPG engine uses for fortuitous dropping: a fault is alive until it
-// is detected or explicitly dropped, and unknown faults are not alive.
-func TestSimulatorAlive(t *testing.T) {
-	rng := rand.New(rand.NewSource(505))
-	c := netlist.Random(rng, netlist.RandomParams{
-		Inputs: 4, Outputs: 4, Gates: 100, DFFs: 6, MaxFanin: 4,
-	})
-	faults := fault.Universe(c)
-	s := NewSimulator(c, faults[:len(faults)-1])
-	for _, f := range faults[:len(faults)-1] {
-		if !s.Alive(f) {
-			t.Fatalf("fresh fault %s not alive", f.Name(c))
-		}
-	}
-	if s.Alive(faults[len(faults)-1]) {
-		t.Fatal("fault outside the simulated list reported alive")
-	}
-	s.Drop(faults[0])
-	if s.Alive(faults[0]) {
-		t.Fatal("dropped fault still alive")
-	}
-	newly := s.Simulate(randomSeq(rng, len(c.Inputs), 40))
-	for _, f := range newly {
-		if s.Alive(f) {
-			t.Fatalf("detected fault %s still alive", f.Name(c))
-		}
-	}
-	alive := 0
-	for _, f := range faults[:len(faults)-1] {
-		if s.Alive(f) {
-			alive++
-		}
-	}
-	if alive != s.LiveCount() {
-		t.Fatalf("Alive count %d != LiveCount %d", alive, s.LiveCount())
-	}
-}
-
-// TestSimulatorMaxWorkers checks the worker cap is output-invariant:
-// shard simulators run with SetMaxWorkers(1) and must detect exactly
-// what an uncapped simulator detects.
-func TestSimulatorMaxWorkers(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	rng := rand.New(rand.NewSource(606))
-	c := netlist.Random(rng, netlist.RandomParams{
-		Inputs: 5, Outputs: 4, Gates: 150, DFFs: 8, MaxFanin: 4,
-	})
-	faults := fault.Universe(c)
-	if len(faults) <= ParallelThreshold { // runGroups' cap branch needs the multi-worker path
-		t.Fatalf("test circuit too small: %d faults", len(faults))
-	}
-	seq := randomSeq(rng, len(c.Inputs), 30)
-
-	ref := NewSimulator(c, faults)
-	refDet := ref.Simulate(seq)
-
-	capped := NewSimulator(c, faults)
-	capped.SetMaxWorkers(1)
-	capDet := capped.Simulate(seq)
-
-	if len(refDet) != len(capDet) {
-		t.Fatalf("capped simulator detected %d faults, uncapped %d", len(capDet), len(refDet))
-	}
-	diffDetected(t, "max-workers-1", c, ref.DetectedAt(), capped.DetectedAt())
-
-	capped.SetMaxWorkers(-3) // negative resets to automatic sizing
-	if capped.maxWorkers != 0 {
-		t.Fatalf("negative SetMaxWorkers left cap %d", capped.maxWorkers)
 	}
 }

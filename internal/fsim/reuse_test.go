@@ -89,7 +89,7 @@ func TestRearmMatchesFresh(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		s := NewSimulator(c, faults)
-		s.SetMaxWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		// First life: unrelated workload plus drops to force repacking.
 		s.Simulate(randomSeq(rng, len(c.Inputs), 40))
 		rem := s.Remaining()

@@ -75,10 +75,6 @@ type Simulator struct {
 	groupPool []*group
 	keepBuf   []*group
 	donorBuf  []*group
-
-	// maxWorkers caps the internal group-worker pool (0 = automatic
-	// GOMAXPROCS sizing); see SetMaxWorkers.
-	maxWorkers int
 }
 
 // faultLoc addresses one fault inside the current grouping.
@@ -175,34 +171,6 @@ func (s *Simulator) Rearm() {
 	}
 	s.groupPool = append(s.groupPool, s.groups...)
 	s.pack(s.faults)
-}
-
-// SetMaxWorkers caps the number of goroutines Simulate spreads groups
-// across; 0 restores the automatic GOMAXPROCS sizing. Callers running
-// many Simulators side by side -- the parallel ATPG's per-shard
-// graders -- set 1 so each shard stays single-threaded and the outer
-// engine owns the parallelism instead of oversubscribing it.
-func (s *Simulator) SetMaxWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.maxWorkers = n
-}
-
-// Alive reports whether the fault is still being simulated: in the
-// fault list and neither detected nor dropped. Unknown faults report
-// false, so a caller deciding to skip work on a dead fault (the
-// parallel ATPG shards) can never skip one this simulator has no
-// verdict on.
-func (s *Simulator) Alive(f fault.Fault) bool {
-	if _, det := s.detectedAt[f]; det {
-		return false
-	}
-	if s.dropped[f] {
-		return false
-	}
-	_, ok := s.loc[f]
-	return ok
 }
 
 // Drop removes the fault from further simulation (its injection bit is
@@ -365,9 +333,6 @@ func (s *Simulator) runGroups(ctx context.Context, seq sim.Seq) ([][]detection, 
 	workers := 1
 	if procs := runtime.GOMAXPROCS(0); procs > 1 && s.liveTotal > ParallelThreshold {
 		workers = procs
-	}
-	if s.maxWorkers > 0 && workers > s.maxWorkers {
-		workers = s.maxWorkers
 	}
 	if workers > len(s.groups) {
 		workers = len(s.groups)

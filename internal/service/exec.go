@@ -276,9 +276,7 @@ func (s *Service) recordParallel(ps *atpg.ParallelStats) {
 	s.reg.Counter("atpg.parallel.wasted").Add(ps.Wasted)
 	s.reg.Counter("atpg.parallel.fortuitous").Add(ps.Fortuitous)
 	s.reg.Counter("atpg.parallel.driver_generated").Add(ps.DriverGenerated)
-	s.reg.Counter("atpg.parallel.broadcasts").Add(ps.Broadcasts)
 	s.reg.Gauge("atpg.parallel.workers").Set(int64(ps.Workers))
-	s.recordFsim(ps.GradeStats)
 }
 
 func vecStrings(seq sim.Seq) []string {

@@ -142,9 +142,8 @@ type ATPGSpec struct {
 	RandomPhase      *bool `json:"random_phase,omitempty"`
 	RandomSeed       int64 `json:"random_seed,omitempty"`
 	// Workers > 1 selects the fault-sharded parallel engine, clamped to
-	// the service's GOMAXPROCS: each speculator owns a PODEM engine and
-	// a fault simulator, so more than one per processor only costs
-	// memory. Output is byte-identical at every worker count, so this
+	// the service's GOMAXPROCS: each speculator owns a PODEM engine, so
+	// more than one per processor only costs memory. Output is byte-identical at every worker count, so this
 	// only trades CPU for latency; it is absent from the result and the
 	// cache key.
 	Workers int `json:"workers,omitempty"`

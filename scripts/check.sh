@@ -80,9 +80,11 @@ named_test 'TestCachedRun|TestCacheServesRepeatedSubmission|TestCacheDiskTierSur
     -race -count=1 ./internal/resultcache/ ./internal/atpg/ ./internal/service/
 
 echo "== go test -race -short (fault-sharded ATPG determinism + Theorem 1-4 metamorphic suite)"
-# TestParallel* drive the speculator through its one entry point,
-# RunContext with Options.Workers set, and require byte-identity with
-# the serial run at 1/2/4/8 workers; TestTheorem* feed both engines'
+# TestParallel* drive the speculator through RunContext with
+# Options.Workers set and require byte-identity with the serial run at
+# 1/2/4/8 workers; TestParallelRetiredSlotSkipped checks the worker-
+# driver handoff directly (a retired slot is skipped, never generated,
+# and counted fortuitous). TestTheorem* feed both engines'
 # test sets to the Theorem 4 check. -short keeps the gate fast: 12
 # theorem pairs and the 5-repeat determinism gauntlet. The full 50-pair
 # suite runs race-free in the plain `go test ./...` tier-1 pass; drop
