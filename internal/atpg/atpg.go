@@ -314,13 +314,11 @@ func merge(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opt Op
 		if err != nil {
 			return finish(err)
 		}
-		if lookup != nil {
-			next = func(f fault.Fault) genCandidate {
-				if d, ok := lookup(f); ok {
-					return genCandidate{seq: d.Seq, status: d.Status, evals: d.Evals, backtracks: d.Backtracks}
-				}
-				return eng.candidate(f)
+		next = func(f fault.Fault) genCandidate {
+			if d, ok := lookup(f); ok {
+				return genCandidate{seq: d.Seq, status: d.Status, evals: d.Evals, backtracks: d.Backtracks}
 			}
+			return eng.candidate(f)
 		}
 	case fanOut == nil && opt.Workers > 1:
 		spec = newSpeculator(ctx, c, opt, remaining, eng)
