@@ -67,6 +67,54 @@ func TestCacheServesRepeatedSubmission(t *testing.T) {
 	}
 }
 
+// TestCacheHitRunsNoStage: a hit is answered from the request alone.
+// After one miss per job kind, an identical submission is a hit and
+// observes no stage.*.latency histogram, stage.parse included.
+func TestCacheHitRunsNoStage(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s := newTestService(t, Config{Workers: 1, Metrics: reg})
+	stages := func() map[string]int64 {
+		counts := map[string]int64{}
+		reg.Do(func(name string, v metrics.Var) {
+			if h, ok := v.(*metrics.Histogram); ok && strings.HasPrefix(name, "stage.") {
+				counts[name] = h.Count()
+			}
+		})
+		return counts
+	}
+	bench := netlist.BenchString(netlist.Fig5N2())
+	for _, req := range []Request{
+		{Kind: KindRetime, Bench: bench},
+		atpgRequest(),
+		{Kind: KindFaultSim, Bench: bench, Tests: "000,011,111"},
+		{Kind: KindDeriveTests, Bench: bench},
+	} {
+		id, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := waitDone(t, s, id); v.Cache != "miss" {
+			t.Fatalf("%s: first run reported cache %q (%s), want miss", req.Kind, v.Cache, v.Error)
+		}
+		before := stages()
+		if before["stage.parse.latency"] == 0 {
+			t.Fatalf("%s: the miss observed no parse stage", req.Kind)
+		}
+		id, err = s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := waitDone(t, s, id); v.Cache != "hit" {
+			t.Fatalf("%s: repeat reported cache %q, want hit", req.Kind, v.Cache)
+		}
+		for name, n := range stages() {
+			if n != before[name] {
+				t.Errorf("%s: the hit observed %s (%d -> %d)", req.Kind, name, before[name], n)
+			}
+		}
+	}
+}
+
 // TestCacheDiskTierSurvivesRestart proves the on-disk path of the
 // acceptance criterion: a fresh service process (empty memory tier)
 // pointed at the same cache directory serves the repeat byte-identical
