@@ -59,7 +59,9 @@ func TestSimulateSteadyStateAllocs(t *testing.T) {
 
 // TestSimulateParallelSteadyStateAllocs pins the parallel path's
 // per-call coordination cost: O(workers) allocations per Simulate call
-// regardless of sequence length or group count.
+// regardless of sequence length or group count. It counts
+// runtime.MemStats.Mallocs itself because testing.AllocsPerRun runs
+// at GOMAXPROCS 1, where runGroups takes its serial branch.
 func TestSimulateParallelSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -71,7 +73,10 @@ func TestSimulateParallelSteadyStateAllocs(t *testing.T) {
 		Inputs: 6, Outputs: 6, Gates: 200, DFFs: 16, MaxFanin: 4,
 	})
 	faults := fault.Universe(c)
-	seq := randomSeq(rng, len(c.Inputs), 160) // two good-machine blocks
+	// Twenty good-machine blocks: one allocation per block then costs
+	// 20 per call, more than the budget's headroom over the ~10 the
+	// coordination takes.
+	seq := randomSeq(rng, len(c.Inputs), 20*goodBlock)
 	s := NewSimulator(c, faults)
 	s.Simulate(seq)
 	s.Reset()
@@ -82,10 +87,15 @@ func TestSimulateParallelSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("only %d live faults after warm-up; need > %d for the parallel path",
 			s.LiveCount(), ParallelThreshold)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
 		s.Reset()
 		s.Simulate(seq)
-	})
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / rounds
 	if allocs > parallelSteadyStateAllocBudget {
 		t.Fatalf("parallel steady-state Simulate allocates %.1f objects/run, budget %d",
 			allocs, parallelSteadyStateAllocBudget)
