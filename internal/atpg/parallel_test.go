@@ -60,10 +60,17 @@ func parallelOptions() Options {
 // the serial Run at every worker count, not just Workers=1, because shards only
 // precompute what the deterministic merge would have computed anyway.
 func TestParallelByteIdentical(t *testing.T) {
-	for _, c := range parallelWorkloads(t) {
+	workloads := parallelWorkloads(t)
+	for i, c := range workloads {
 		reps, _ := fault.Collapse(c)
 		want := Run(c, reps, parallelOptions())
-		for _, workers := range []int{1, 2, 4, 8} {
+		workerCounts := []int{1, 2, 4, 8}
+		if testing.Short() && i == len(workloads)-1 {
+			// The synthesized dk16 FSM, parallelWorkloads' last circuit,
+			// takes most of the time: -short checks it at two workers.
+			workerCounts = []int{2}
+		}
+		for _, workers := range workerCounts {
 			opt := parallelOptions()
 			opt.Workers = workers
 			got, _ := RunContext(context.Background(), c, reps, opt)
