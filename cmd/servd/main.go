@@ -12,7 +12,7 @@
 // Circuits are submitted as ISCAS-89 bench text in the request body;
 // see the README section "Running the service" for curl examples.
 //
-// Identical submissions are answered from a content-addressed result
+// Identical submissions are answered from a request-keyed result
 // cache (disable with -cache-bytes -1; persist across restarts with
 // -cache-dir). A completed job's GET carries a strong ETag derived
 // from its cache key plus an X-Cache-Status header; polling with

@@ -34,17 +34,12 @@ const resultMagic = "ATPGRSLT"
 // and recompute.
 var ErrResultPayload = errors.New("atpg: corrupt or mismatched cached result payload")
 
-// IdentityHashes returns the canonical (circuit, fault list, options)
-// fingerprints used by checkpoints and the result cache. Workers and
-// the Checkpoint config do not contribute: both are result-neutral.
-func IdentityHashes(c *netlist.Circuit, faults []fault.Fault, opt Options) (circuit, faultList, options uint64) {
-	return hashCircuit(c), hashFaults(faults), hashOptions(opt)
-}
-
-// CacheKey names this run's result in a resultcache.Cache.
+// CacheKey names this run's result in a resultcache.Cache: the
+// canonical (circuit, fault list, options) fingerprints a checkpoint
+// binds to. Workers and the Checkpoint config do not contribute: both
+// are result-neutral.
 func CacheKey(c *netlist.Circuit, faults []fault.Fault, opt Options) resultcache.Key {
-	ch, fh, oh := IdentityHashes(c, faults, opt)
-	return resultcache.Key{Circuit: ch, Faults: fh, Options: oh}
+	return resultcache.Key{Circuit: hashCircuit(c), Faults: hashFaults(faults), Options: OptionsHash(opt)}
 }
 
 // EncodeResultPayload serializes the run-independent portion of a

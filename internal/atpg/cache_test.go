@@ -14,14 +14,15 @@ import (
 	"repro/internal/resultcache"
 )
 
-func TestCacheKeyMatchesIdentityHashes(t *testing.T) {
+// TestCacheKeyIdentity: the key's slots are the checkpoint identity
+// hashes, so a cached result and a checkpoint name the same run.
+func TestCacheKeyIdentity(t *testing.T) {
 	c := netlist.Fig5N1()
 	reps, _ := fault.Collapse(c)
 	opt := checkpointOptions()
-	ch, fh, oh := IdentityHashes(c, reps, opt)
 	k := CacheKey(c, reps, opt)
-	if k != (resultcache.Key{Circuit: ch, Faults: fh, Options: oh}) {
-		t.Fatalf("CacheKey %v disagrees with IdentityHashes (%x,%x,%x)", k, ch, fh, oh)
+	if want := (resultcache.Key{Circuit: hashCircuit(c), Faults: hashFaults(reps), Options: OptionsHash(opt)}); k != want {
+		t.Fatalf("CacheKey %v, want the checkpoint identity hashes %v", k, want)
 	}
 
 	// Result-neutral knobs must not move the key; result-affecting ones must.

@@ -133,7 +133,7 @@ func newCheckpoint(c *netlist.Circuit, faults []fault.Fault, opt Options) *Check
 		Version:     CheckpointVersion,
 		CircuitHash: hashCircuit(c),
 		FaultsHash:  hashFaults(faults),
-		OptionsHash: hashOptions(opt),
+		OptionsHash: OptionsHash(opt),
 		NumFaults:   len(faults),
 	}
 }
@@ -153,7 +153,7 @@ func (ck *Checkpoint) Validate(c *netlist.Circuit, faults []fault.Fault, opt Opt
 	if ck.CircuitHash != hashCircuit(c) {
 		return fmt.Errorf("%w: circuit differs", ErrCheckpointMismatch)
 	}
-	if ck.OptionsHash != hashOptions(opt) {
+	if ck.OptionsHash != OptionsHash(opt) {
 		return fmt.Errorf("%w: generator options differ", ErrCheckpointMismatch)
 	}
 	if len(ck.Decided) > len(faults) {
@@ -457,11 +457,12 @@ func hashFaults(faults []fault.Fault) uint64 {
 	return h.Sum()
 }
 
-// hashOptions fingerprints the result-affecting options. Workers and
+// OptionsHash fingerprints the result-affecting options. Workers and
 // the Checkpoint config are deliberately excluded: both are
 // result-neutral, so a checkpoint taken at one worker count or cadence
-// resumes at any other.
-func hashOptions(opt Options) uint64 {
+// resumes at any other, and the job service keys serial, parallel and
+// distributed runs of one request to one cache entry.
+func OptionsHash(opt Options) uint64 {
 	return frame.NewFNV().
 		U64(uint64(opt.MaxFrames)).
 		U64(uint64(opt.MaxBacktracks)).

@@ -69,12 +69,12 @@ const (
 	goldenEntryHex             = "524553434143484501000000f5ee56e85cf344e85d9017c198de655ccc9da4130e61ebc40e676f6c64656e207061796c6f616443637fe8b93ac3ee"
 )
 
-func TestGoldenIdentityHashes(t *testing.T) {
+func TestGoldenCacheKey(t *testing.T) {
 	c, reps, _ := goldenCheckpoint(t)
-	ch, fh, oh := IdentityHashes(c, reps, goldenOptions())
-	if ch != goldenCircuitHash || fh != goldenFaultsHash || oh != goldenOptionsHash {
-		t.Fatalf("IdentityHashes = %#x, %#x, %#x; want %#x, %#x, %#x",
-			ch, fh, oh, goldenCircuitHash, goldenFaultsHash, goldenOptionsHash)
+	k := CacheKey(c, reps, goldenOptions())
+	if k.Circuit != goldenCircuitHash || k.Faults != goldenFaultsHash || k.Options != goldenOptionsHash {
+		t.Fatalf("CacheKey = %#x, %#x, %#x; want %#x, %#x, %#x",
+			k.Circuit, k.Faults, k.Options, goldenCircuitHash, goldenFaultsHash, goldenOptionsHash)
 	}
 	if got := resultcache.ParamsHash("derive_tests", "period", "0"); got != goldenParamsHash {
 		t.Fatalf("ParamsHash = %#x, want %#x", got, goldenParamsHash)

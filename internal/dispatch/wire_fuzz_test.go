@@ -130,11 +130,10 @@ func FuzzShardWireDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of rebuilt request failed: %v\n%s", err, enc)
 		}
-		c1, f1, o1 := atpg.IdentityHashes(work.c, work.faults, work.opt)
-		c2, f2, o2 := atpg.IdentityHashes(work2.c, work2.faults, work2.opt)
-		if c1 != c2 || f1 != f2 || o1 != o2 {
-			t.Fatalf("wire round trip changed engine identity: %x/%x/%x -> %x/%x/%x",
-				c1, f1, o1, c2, f2, o2)
+		k1 := atpg.CacheKey(work.c, work.faults, work.opt)
+		k2 := atpg.CacheKey(work2.c, work2.faults, work2.opt)
+		if k1 != k2 {
+			t.Fatalf("wire round trip changed engine identity: %v -> %v", k1, k2)
 		}
 		if work2.resumeLen() != work.resumeLen() {
 			t.Fatalf("wire round trip changed resume length: %d -> %d", work.resumeLen(), work2.resumeLen())

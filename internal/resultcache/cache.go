@@ -1,11 +1,11 @@
-// Package resultcache is a content-addressed cache for expensive,
-// deterministic job results. Every result-producing pipeline in this
-// repository -- retime, ATPG, fault simulation, the Fig. 6 flow -- is a
-// pure function of a (circuit, fault list, options) triple, and PR 5's
-// checkpoint layer already fingerprints that triple with FNV-1a
-// identity hashes. This package promotes those hashes into a cache key,
-// so an identical submission from any of a million users is answered
-// with the stored payload instead of re-running the engine.
+// Package resultcache is a cache for expensive, deterministic job
+// results. Every result-producing pipeline in this repository --
+// retime, ATPG, fault simulation, the Fig. 6 flow -- is a pure function
+// of its inputs, so a Key hashed from those inputs names the result:
+// the ATPG facade uses the checkpoint's FNV-1a identity hashes of the
+// (circuit, fault list, options) triple, the job service its normalized
+// request. An identical submission from any of a million users is then
+// answered with the stored payload instead of re-running the engine.
 //
 // Three layers compose:
 //
@@ -51,9 +51,12 @@ const memEntryOverhead = 128
 // of treating the empty payload as a result.
 var errFlightAborted = errors.New("resultcache: in-flight computation aborted")
 
-// Key addresses one cached result: the FNV-1a identity hashes of the
-// circuit, the fault list, and the result-affecting options (plus any
-// caller-folded parameters -- see ParamsHash). Keys from different
+// Key addresses one cached result through three FNV-1a hashes. The
+// ATPG facade (atpg.CacheKey) fills them with the identity hashes of
+// the circuit, the fault list and the result-affecting options; the job
+// service fills them from its normalized request: the bench text, zero
+// (a request names no fault list), and the kind with its
+// result-affecting fields folded by ParamsHash. Keys from different
 // derivations must not collide by construction, so callers that cache
 // differently encoded payloads (e.g. the job service's JSON vs the ATPG
 // facade's binary) fold a distinct namespace into the Options slot.

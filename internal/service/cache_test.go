@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/netlist"
@@ -113,6 +115,75 @@ func TestCacheHitRunsNoStage(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCacheUndecodablePayload: a stored payload that no longer decodes
+// is deleted, counted once as cache.payload_errors, recomputed and
+// replaced, never served -- on a first attempt, which goes through the
+// single-flight Do, and on a retried one, which goes through Get.
+func TestCacheUndecodablePayload(t *testing.T) {
+	req := atpgRequest()
+	key := requestKey(&req)
+	bad := []byte("not a service.Result")
+	ref := newTestService(t, Config{Workers: 1, CacheBytes: -1})
+	refID, err := ref.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(resultJSON(t, waitDone(t, ref, refID)))
+
+	check := func(t *testing.T, s *Service, id string, attempt int) {
+		t.Helper()
+		v := waitDone(t, s, id)
+		if v.Status != StatusDone || v.Attempt != attempt {
+			t.Fatalf("status %s attempt %d (%s), want done on attempt %d", v.Status, v.Attempt, v.Error, attempt)
+		}
+		if string(resultJSON(t, v)) != want {
+			t.Fatal("result differs from a clean run")
+		}
+		if v.Cache != "miss" {
+			t.Fatalf("cache %q, want miss (recomputed)", v.Cache)
+		}
+		if n := s.Metrics().Counter("cache.payload_errors").Value(); n != 1 {
+			t.Fatalf("cache.payload_errors = %d, want 1", n)
+		}
+		if payload, _, ok := s.cache.Get(key); !ok || string(payload) != want {
+			t.Fatal("the undecodable entry was not replaced by the recomputed payload")
+		}
+	}
+
+	t.Run("first-attempt", func(t *testing.T) {
+		s := newTestService(t, Config{Workers: 1, Metrics: metrics.NewRegistry()})
+		s.cache.Put(key, bad)
+		id, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, s, id, 1)
+	})
+
+	t.Run("retried-attempt", func(t *testing.T) {
+		// A journal whose job was mid-run at crash time: recovery
+		// re-runs it as attempt 2 against a disk tier holding the bad
+		// entry.
+		dir := t.TempDir()
+		cacheDir := filepath.Join(dir, "cache")
+		resultcache.New(resultcache.Config{Dir: cacheDir}).Put(key, bad)
+		path := filepath.Join(dir, "jobs.journal")
+		j, err := openJournal(path, false, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.append(journalEntry{Event: evSubmit, ID: "job-000001", Req: &req})
+		j.append(journalEntry{Event: evStart, ID: "job-000001", Attempt: 1})
+		j.Close()
+		s, err := Open(Config{Workers: 1, JournalPath: path, CacheDir: cacheDir, RetryBackoff: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		check(t, s, "job-000001", 2)
+	})
 }
 
 // TestCacheDiskTierSurvivesRestart proves the on-disk path of the
@@ -254,7 +325,6 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestRequestKeyNormalization(t *testing.T) {
-	c := mustParse(t, netlist.BenchString(netlist.Fig2C1()))
 	same := [][2]Request{
 		{{Kind: KindRetime, Mode: ""}, {Kind: KindRetime, Mode: "period"}},
 		{{Kind: KindDeriveTests, Fill: ""}, {Kind: KindDeriveTests, Fill: "zeros"}},
@@ -267,7 +337,7 @@ func TestRequestKeyNormalization(t *testing.T) {
 		{{Kind: KindATPG}, {Kind: KindATPG, ATPG: &ATPGSpec{Workers: 4, Backends: 2}}},
 	}
 	for i, pair := range same {
-		if requestKey(&pair[0], c) != requestKey(&pair[1], c) {
+		if requestKey(&pair[0]) != requestKey(&pair[1]) {
 			t.Errorf("case %d: equivalent requests got different keys", i)
 		}
 	}
@@ -279,14 +349,77 @@ func TestRequestKeyNormalization(t *testing.T) {
 		{{Kind: KindDeriveTests, Fill: "random", Seed: 1}, {Kind: KindDeriveTests, Fill: "random", Seed: 2}},
 	}
 	for i, pair := range distinct {
-		if requestKey(&pair[0], c) == requestKey(&pair[1], c) {
+		if requestKey(&pair[0]) == requestKey(&pair[1]) {
 			t.Errorf("case %d: result-affecting difference got the same key", i)
 		}
 	}
-	c2 := mustParse(t, netlist.BenchString(netlist.Fig2C2()))
-	req := Request{Kind: KindATPG}
-	if requestKey(&req, c) == requestKey(&req, c2) {
+	c1 := Request{Kind: KindATPG, Bench: netlist.BenchString(netlist.Fig2C1())}
+	c2 := Request{Kind: KindATPG, Bench: netlist.BenchString(netlist.Fig2C2())}
+	if requestKey(&c1) == requestKey(&c2) {
 		t.Error("different circuits got the same key")
+	}
+}
+
+// TestRequestKeyClassifiesEveryField: every field of Request and
+// ATPGSpec is labelled result-affecting (a changed value must move
+// requestKey) or neutral (it must not). A new field without a label
+// fails here until someone decides which it is.
+func TestRequestKeyClassifiesEveryField(t *testing.T) {
+	bench := netlist.BenchString(netlist.Fig2C1())
+	atpgReq := Request{Kind: KindATPG, Bench: bench, ATPG: &ATPGSpec{}}
+	off := false
+	type field struct {
+		base    Request
+		edit    func(*Request)
+		neutral bool
+	}
+	fields := map[string]field{
+		"Kind":      {atpgReq, func(r *Request) { r.Kind = KindDeriveTests }, false},
+		"Bench":     {atpgReq, func(r *Request) { r.Bench += "\n" }, false},
+		"Mode":      {Request{Kind: KindRetime, Bench: bench}, func(r *Request) { r.Mode = "registers" }, false},
+		"ATPG":      {Request{Kind: KindATPG, Bench: bench}, func(r *Request) { r.ATPG = &ATPGSpec{MaxFrames: 3} }, false},
+		"Tests":     {Request{Kind: KindFaultSim, Bench: bench, Tests: "00"}, func(r *Request) { r.Tests = "01" }, false},
+		"Fill":      {Request{Kind: KindDeriveTests, Bench: bench}, func(r *Request) { r.Fill = "ones" }, false},
+		"Seed":      {Request{Kind: KindDeriveTests, Bench: bench, Fill: "random"}, func(r *Request) { r.Seed = 9 }, false},
+		"TimeoutMS": {atpgReq, func(r *Request) { r.TimeoutMS = 5000 }, true},
+
+		"ATPG.MaxFrames":        {atpgReq, func(r *Request) { r.ATPG.MaxFrames = 3 }, false},
+		"ATPG.MaxBacktracks":    {atpgReq, func(r *Request) { r.ATPG.MaxBacktracks = 7 }, false},
+		"ATPG.MaxEvalsPerFault": {atpgReq, func(r *Request) { r.ATPG.MaxEvalsPerFault = 1000 }, false},
+		"ATPG.MaxEvalsTotal":    {atpgReq, func(r *Request) { r.ATPG.MaxEvalsTotal = 1000 }, false},
+		"ATPG.RandomPhase":      {atpgReq, func(r *Request) { r.ATPG.RandomPhase = &off }, false},
+		"ATPG.RandomSeed":       {atpgReq, func(r *Request) { r.ATPG.RandomSeed = 7 }, false},
+		"ATPG.Workers":          {atpgReq, func(r *Request) { r.ATPG.Workers = 4 }, true},
+		"ATPG.Backends":         {atpgReq, func(r *Request) { r.ATPG.Backends = 2 }, true},
+	}
+	seen := map[string]bool{}
+	for prefix, typ := range map[string]reflect.Type{"": reflect.TypeOf(Request{}), "ATPG.": reflect.TypeOf(ATPGSpec{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			name := prefix + typ.Field(i).Name
+			seen[name] = true
+			f, ok := fields[name]
+			if !ok {
+				t.Errorf("%s is not classified as result-affecting or neutral", name)
+				continue
+			}
+			base, edited := f.base, f.base
+			if base.ATPG != nil {
+				spec := *base.ATPG
+				edited.ATPG = &spec
+			}
+			f.edit(&edited)
+			if err := edited.Validate(); err != nil {
+				t.Errorf("%s: edited request is invalid: %v", name, err)
+			}
+			if moved := requestKey(&base) != requestKey(&edited); moved == f.neutral {
+				t.Errorf("%s (neutral=%v): changing it moved the key = %v", name, f.neutral, moved)
+			}
+		}
+	}
+	for name := range fields {
+		if !seen[name] {
+			t.Errorf("classified field %s does not exist", name)
+		}
 	}
 }
 

@@ -23,62 +23,63 @@ import (
 // *through* f within one cooperative check interval, and no abandoned
 // computation is left burning CPU behind the pool. The stage.<name>
 // failpoint lets chaos tests fail, delay or panic a specific stage.
-// Entering and leaving a stage heartbeats the stuck-progress watchdog
-// (the job rides the context), so a healthy multi-stage pipeline never
-// trips it as long as each single stage fits the window.
-func (s *Service) stage(ctx context.Context, name string, f func() error) error {
+// Entering and leaving a stage heartbeats the job's stuck-progress
+// watchdog, so a healthy multi-stage pipeline never trips it as long
+// as each single stage fits the window.
+func (s *Service) stage(ctx context.Context, j *Job, name string, f func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if err := failpoint.Inject("stage." + name); err != nil {
 		return err
 	}
-	if j := jobFromContext(ctx); j != nil {
-		j.touchProgress()
-		defer j.touchProgress()
-	}
+	j.touchProgress()
+	defer j.touchProgress()
 	return s.reg.Observe("stage."+name+".latency", f)
 }
 
-// execute runs the request's pipeline, one instrumented stage at a
-// time. Every stage is a plain library call with deterministic options,
-// so the result matches the equivalent direct call exactly -- which is
-// also why the result cache sits here: after the parse stage the
-// request's identity is known, and executeCached answers repeats from
-// the first run's payload. The job ID names the durable checkpoint
-// file ATPG-bearing kinds resume from after a crash.
-func (s *Service) execute(ctx context.Context, id string, req *Request) (*Result, error) {
+// execute runs the job's request. With caching on, executeCached looks
+// the request up first and only a miss computes; with caching off every
+// attempt computes. The job ID names the durable checkpoint file
+// ATPG-bearing kinds resume from after a crash.
+func (s *Service) execute(ctx context.Context, j *Job) (*Result, error) {
+	if s.cache == nil {
+		return s.compute(ctx, j)
+	}
+	return s.executeCached(ctx, j)
+}
+
+// compute parses the bench text and runs the kind's pipeline, one
+// instrumented stage at a time, no cache consulted. Every stage is a
+// plain library call with deterministic options, so the result matches
+// the equivalent direct call exactly.
+func (s *Service) compute(ctx context.Context, j *Job) (*Result, error) {
 	var c *netlist.Circuit
-	if err := s.stage(ctx, "parse", func() error {
+	if err := s.stage(ctx, j, "parse", func() error {
 		var err error
-		c, err = netlist.ParseBenchString("job", req.Bench)
+		c, err = netlist.ParseBenchString("job", j.req.Bench)
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	return s.executeCached(ctx, id, req, c)
-}
-
-// dispatch runs the kind-specific pipeline directly, no cache consulted.
-func (s *Service) dispatch(ctx context.Context, id string, req *Request, c *netlist.Circuit) (*Result, error) {
-	switch req.Kind {
+	switch j.req.Kind {
 	case KindRetime:
-		return s.execRetime(ctx, req, c)
+		return s.execRetime(ctx, j, c)
 	case KindATPG:
-		return s.execATPG(ctx, id, req, c)
+		return s.execATPG(ctx, j, c)
 	case KindFaultSim:
-		return s.execFaultSim(ctx, req, c)
+		return s.execFaultSim(ctx, j, c)
 	case KindDeriveTests:
-		return s.execDerive(ctx, id, req, c)
+		return s.execDerive(ctx, j, c)
 	}
-	return nil, fmt.Errorf("service: unknown job kind %q", req.Kind)
+	return nil, fmt.Errorf("service: unknown job kind %q", j.req.Kind)
 }
 
-func (s *Service) execRetime(ctx context.Context, req *Request, c *netlist.Circuit) (*Result, error) {
+func (s *Service) execRetime(ctx context.Context, j *Job, c *netlist.Circuit) (*Result, error) {
 	out := &RetimeResult{}
-	err := s.stage(ctx, "retime", func() error {
+	err := s.stage(ctx, j, "retime", func() error {
 		g := retime.FromCircuit(c)
-		switch req.Mode {
+		switch j.req.Mode {
 		case "registers":
 			r, _, err := g.MinRegistersContext(ctx)
 			if err != nil {
@@ -132,9 +133,9 @@ func (s *Service) runATPG(ctx context.Context, c *netlist.Circuit, faults []faul
 	return atpg.RunContext(ctx, c, faults, opt)
 }
 
-func (s *Service) execATPG(ctx context.Context, id string, req *Request, c *netlist.Circuit) (*Result, error) {
+func (s *Service) execATPG(ctx context.Context, j *Job, c *netlist.Circuit) (*Result, error) {
 	var faults []fault.Fault
-	if err := s.stage(ctx, "collapse", func() error {
+	if err := s.stage(ctx, j, "collapse", func() error {
 		faults, _ = fault.Collapse(c)
 		return nil
 	}); err != nil {
@@ -142,12 +143,12 @@ func (s *Service) execATPG(ctx context.Context, id string, req *Request, c *netl
 	}
 	// The run resumes from the job's durable checkpoint when a crashed
 	// earlier attempt left a usable one (atpg's resume policy).
-	opt := req.ATPG.Options()
-	opt.Checkpoint = s.checkpointConfig(id)
+	opt := j.req.ATPG.Options()
+	opt.Checkpoint = s.checkpointConfig(j)
 	var res *atpg.Result
-	if err := s.stage(ctx, "atpg", func() error {
+	if err := s.stage(ctx, j, "atpg", func() error {
 		var err error
-		res, err = s.runATPG(ctx, c, faults, opt, req)
+		res, err = s.runATPG(ctx, c, faults, opt, &j.req)
 		return err
 	}); err != nil {
 		return nil, err
@@ -169,8 +170,8 @@ func (s *Service) execATPG(ctx context.Context, id string, req *Request, c *netl
 	return &Result{ATPG: out}, nil
 }
 
-func (s *Service) execFaultSim(ctx context.Context, req *Request, c *netlist.Circuit) (*Result, error) {
-	seq := sim.ParseSeq(req.Tests)
+func (s *Service) execFaultSim(ctx context.Context, j *Job, c *netlist.Circuit) (*Result, error) {
+	seq := sim.ParseSeq(j.req.Tests)
 	for _, v := range seq {
 		if len(v) != len(c.Inputs) {
 			return nil, fmt.Errorf("service: vector %q has %d bits, circuit has %d inputs",
@@ -178,14 +179,14 @@ func (s *Service) execFaultSim(ctx context.Context, req *Request, c *netlist.Cir
 		}
 	}
 	var faults []fault.Fault
-	if err := s.stage(ctx, "collapse", func() error {
+	if err := s.stage(ctx, j, "collapse", func() error {
 		faults, _ = fault.Collapse(c)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	var res *fsim.Result
-	if err := s.stage(ctx, "fsim", func() error {
+	if err := s.stage(ctx, j, "fsim", func() error {
 		var err error
 		res, err = fsim.RunContext(ctx, c, faults, seq)
 		return err
@@ -205,20 +206,20 @@ func (s *Service) execFaultSim(ctx context.Context, req *Request, c *netlist.Cir
 	return &Result{FaultSim: out}, nil
 }
 
-func (s *Service) execDerive(ctx context.Context, id string, req *Request, c *netlist.Circuit) (*Result, error) {
+func (s *Service) execDerive(ctx context.Context, j *Job, c *netlist.Circuit) (*Result, error) {
 	// Fig6Flow bundles retime+ATPG+derive+fsim; run it as one "fig6"
 	// stage and re-check the deadline before the final bookkeeping.
-	fill, err := parseFill(req.Fill)
+	fill, err := parseFill(j.req.Fill)
 	if err != nil {
 		return nil, err
 	}
 	// The expensive ATPG leg inside the flow checkpoints to the job's
 	// file; the flow itself resumes it (only there are the easy circuit
 	// and its fault list known), reporting through the config callbacks.
-	opt := req.ATPG.Options()
-	opt.Checkpoint = s.checkpointConfig(id)
+	opt := j.req.ATPG.Options()
+	opt.Checkpoint = s.checkpointConfig(j)
 	var flow *core.Fig6Result
-	if err := s.stage(ctx, "fig6", func() error {
+	if err := s.stage(ctx, j, "fig6", func() error {
 		var err error
 		flow, err = core.Fig6FlowContext(ctx, c, opt)
 		return err
@@ -229,8 +230,8 @@ func (s *Service) execDerive(ctx context.Context, id string, req *Request, c *ne
 	if fill != core.FillZeros {
 		// Fig6Flow derives with zero fill; rebuild the prefix with the
 		// requested fill (Theorem 4 permits any) and re-simulate.
-		derived = flow.Pair.DeriveTestSet(flow.EasyATPG.TestSet, fill, req.Seed)
-		if err := s.stage(ctx, "fsim", func() error {
+		derived = flow.Pair.DeriveTestSet(flow.EasyATPG.TestSet, fill, j.req.Seed)
+		if err := s.stage(ctx, j, "fsim", func() error {
 			var err error
 			flow.ImplResult, err = fsim.RunContext(ctx, flow.Pair.Retimed, flow.ImplFaults, derived)
 			return err

@@ -272,11 +272,11 @@ type Job struct {
 	// to abandon the wedged computation and requeue the job.
 	stalled bool
 	stallCh chan struct{}
-	// cacheKey and cacheSrc record the request's content-addressed
-	// result-cache identity and how the result was obtained ("miss",
-	// "hit", "hit-disk", "shared"); empty on jobs that never reached the
-	// cache layer (caching off, parse failure, or replayed from the
-	// journal, which does not persist them).
+	// cacheKey and cacheSrc record the request's result-cache key and
+	// how the result was obtained ("miss", "hit", "hit-disk", "shared");
+	// empty on jobs that got no result from the cache layer (caching
+	// off, a failed run, or replayed from the journal, which does not
+	// persist them).
 	cacheKey string
 	cacheSrc string
 	// cancelRequested marks the job for cancellation; cancel is the
@@ -307,7 +307,7 @@ type View struct {
 	RunMS   int64 `json:"run_ms,omitempty"`
 	// Attempt counts starts; >1 marks a job re-run after crash recovery.
 	Attempt int `json:"attempt,omitempty"`
-	// CacheKey is the request's content-addressed result-cache identity
+	// CacheKey is the request's result-cache key
 	// (the HTTP layer derives the strong ETag from it); Cache reports how
 	// the result was obtained: "miss" (computed here), "hit"/"hit-disk"
 	// (served from a previous run's payload), or "shared" (rode a

@@ -79,9 +79,9 @@ type Config struct {
 	// service runs without a journal.
 	CheckpointEvery int
 
-	// CacheBytes bounds the in-memory tier of the content-addressed
-	// result cache: identical submissions (same circuit, fault list and
-	// result-affecting options) are answered from the first run's stored
+	// CacheBytes bounds the in-memory tier of the request-keyed result
+	// cache: identical submissions (same bench text, kind and
+	// result-affecting fields) are answered from the first run's stored
 	// payload, and concurrent identical submissions run the pipeline
 	// once (single-flight). 0 selects resultcache.DefaultMaxBytes;
 	// negative disables caching entirely (the pre-cache behavior: every
@@ -377,8 +377,8 @@ func (s *Service) checkpointPath(id string) string {
 
 // checkpointConfig builds the per-job checkpoint wiring: the durable
 // path, the configured cadence, and the atpg.checkpoint.* metrics.
-func (s *Service) checkpointConfig(id string) atpg.CheckpointConfig {
-	path := s.checkpointPath(id)
+func (s *Service) checkpointConfig(j *Job) atpg.CheckpointConfig {
+	path := s.checkpointPath(j.id)
 	if path == "" {
 		return atpg.CheckpointConfig{}
 	}
@@ -388,7 +388,7 @@ func (s *Service) checkpointConfig(id string) atpg.CheckpointConfig {
 		OnWrite: func(_ *atpg.Checkpoint, err error) {
 			// Either outcome is a heartbeat: the cadence only fires
 			// because the engine decided more faults since the last one.
-			s.touch(id)
+			j.touchProgress()
 			if err != nil {
 				s.reg.Counter("atpg.checkpoint.errors").Inc()
 			} else {
@@ -743,11 +743,9 @@ func (s *Service) runJob(j *Job) {
 		timeout = time.Duration(j.req.TimeoutMS) * time.Millisecond
 	}
 	// The request ID rides the job context so dispatch backend calls
-	// stamp it on their shard submissions; the job itself rides along so
-	// stage boundaries can heartbeat the watchdog.
+	// stamp it on their shard submissions.
 	ctx, cancel := context.WithTimeout(httpmw.ContextWithID(s.base, j.reqID), timeout)
 	defer cancel()
-	ctx = contextWithJob(ctx, j)
 
 	j.submitted.Wait()
 	if !j.begin(cancel) {
@@ -773,7 +771,7 @@ func (s *Service) runJob(j *Job) {
 				done <- outcome{nil, fmt.Errorf("service: job panicked: %v", r)}
 			}
 		}()
-		res, err := s.execute(ctx, j.id, &j.req)
+		res, err := s.execute(ctx, j)
 		done <- outcome{res, err}
 	}()
 

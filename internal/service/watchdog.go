@@ -22,31 +22,6 @@ import (
 // Detections count as service.watchdog.stalled, successful requeues as
 // service.watchdog.requeued.
 
-// jobCtxKey carries the running *Job through the attempt's context so
-// stage boundaries can stamp heartbeats without threading the job
-// through every pipeline signature.
-type jobCtxKey struct{}
-
-func contextWithJob(ctx context.Context, j *Job) context.Context {
-	return context.WithValue(ctx, jobCtxKey{}, j)
-}
-
-func jobFromContext(ctx context.Context) *Job {
-	j, _ := ctx.Value(jobCtxKey{}).(*Job)
-	return j
-}
-
-// touch refreshes the heartbeat of the named job; checkpoint OnWrite
-// callbacks know only the job ID.
-func (s *Service) touch(id string) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j != nil {
-		j.touchProgress()
-	}
-}
-
 // watchdog is the scan loop, one goroutine per service, started by
 // Open when cfg.WatchdogWindow > 0. It exits when the service's base
 // context is cancelled (shutdown) and signals that via wdDone.
