@@ -1,10 +1,13 @@
 // Package dispatch is the failure-aware fan-out layer for distributed
 // ATPG: it shards a fault list across worker backends, tracks backend
 // health (heartbeat probes plus a consecutive-failure circuit breaker),
-// enforces per-shard deadlines, retries failed shards with capped
-// jittered exponential backoff, migrates a dead backend's partial work
-// to a survivor by shipping its last checkpoint, and degrades to local
-// in-process execution when every backend is down.
+// retries failed shards with capped jittered exponential backoff,
+// migrates a dead backend's partial work to a survivor by shipping its
+// last checkpoint, and degrades to local in-process execution when
+// every backend is down. The job's deadline bounds every shard: it is
+// the context of each attempt and reaches an HTTP worker as the shard
+// request's deadline_ms. The retry, heartbeat, breaker and poll
+// timings are fixed constants, since no schedule can change a result.
 //
 // Correctness is anchored on two existing invariants. Per-fault PODEM
 // generation is a pure function of (circuit, options, fault), so shard

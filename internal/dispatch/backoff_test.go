@@ -6,16 +6,16 @@ import (
 )
 
 // TestBackoffDelayShape: a shard's retry delays follow the capped
-// exponential ladder of the configured RetryBackoff/RetryBackoffCap,
-// each spread over [d/2, d].
+// exponential ladder of retryBackoff/retryBackoffCap, each spread over
+// [d/2, d]. Pure arithmetic: nothing sleeps.
 func TestBackoffDelayShape(t *testing.T) {
-	d := New(Config{RetryBackoff: 10 * time.Millisecond, RetryBackoffCap: 80 * time.Millisecond, Seed: 1})
-	// Unjittered ladder: 10, 20, 40, 80, 80, ... each spread to [d/2, d].
-	wantCap := []time.Duration{10, 20, 40, 80, 80, 80}
+	// Unjittered ladder: 50ms doubling to the 2s cap, each spread to
+	// [d/2, d].
+	wantCap := []time.Duration{50, 100, 200, 400, 800, 1600, 2000, 2000}
 	for attempt := 1; attempt <= len(wantCap); attempt++ {
 		hi := wantCap[attempt-1] * time.Millisecond
 		for i := 0; i < 100; i++ {
-			got := d.jitter(attempt)
+			got := jitter(attempt)
 			if got < hi/2 || got > hi {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, got, hi/2, hi)
 			}

@@ -14,35 +14,14 @@ import (
 	"repro/internal/retry"
 )
 
-// Config tunes a Dispatcher. The zero value of every field is a usable
-// default; only Backends is load-bearing (empty means every Run
-// executes locally, exactly like atpg.RunContext).
+// Config configures a Dispatcher. Only Backends is load-bearing:
+// empty means every Run executes locally, exactly like
+// atpg.RunContext.
 type Config struct {
 	// Backends are the worker backends to fan out across.
 	Backends []Backend
-	// MaxAttempts bounds remote attempts per shard, first try included
-	// (default 3). Exhaustion falls back to local execution.
-	MaxAttempts int
-	// ShardTimeout bounds each remote attempt (0 = no deadline).
-	ShardTimeout time.Duration
-	// RetryBackoff and RetryBackoffCap shape the capped jittered
-	// exponential delay between a shard's attempts (defaults 50ms, 2s).
-	RetryBackoff    time.Duration
-	RetryBackoffCap time.Duration
-	// HeartbeatEvery is the health-probe interval per backend while a
-	// Run is in flight (default 250ms; negative disables probing).
-	HeartbeatEvery time.Duration
-	// BreakerThreshold consecutive failures (shard or heartbeat) open a
-	// backend's breaker for BreakerCooldown (defaults 3, 2s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// CheckpointEvery is the backend-side partial checkpoint cadence in
-	// decided faults (default 8): the granularity of migratable work.
-	CheckpointEvery int
 	// Metrics receives the dispatch.* counters when non-nil.
 	Metrics *metrics.Registry
-	// Seed seeds the backoff jitter PRNG (0: seeded from the clock).
-	Seed int64
 	// Logf, when non-nil, receives one line per notable event (retry,
 	// migration, breaker transition, degrade).
 	Logf func(format string, args ...any)
@@ -52,15 +31,27 @@ type Config struct {
 // keeps survivors busy when one backend dies.
 const shardsPerBackend = 2
 
-// Default Config values.
+// The retry, health and checkpoint policy. None of it can change a
+// result -- the merge is byte-identical under any schedule -- so it is
+// fixed rather than configurable.
 const (
-	DefaultMaxAttempts      = 3
-	DefaultRetryBackoff     = 50 * time.Millisecond
-	DefaultRetryBackoffCap  = 2 * time.Second
-	DefaultHeartbeatEvery   = 250 * time.Millisecond
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 2 * time.Second
-	DefaultCheckpointEvery  = 8
+	// maxAttempts bounds remote attempts per shard, first try
+	// included; exhaustion falls back to local execution.
+	maxAttempts = 3
+	// retryBackoff and retryBackoffCap shape the capped exponential
+	// delay between a shard's attempts, spread over [d/2, d].
+	retryBackoff    = 50 * time.Millisecond
+	retryBackoffCap = 2 * time.Second
+	// heartbeatEvery is the health-probe interval per backend while a
+	// Run is in flight.
+	heartbeatEvery = 250 * time.Millisecond
+	// breakerThreshold consecutive failures (shard or heartbeat) open
+	// a backend's breaker for breakerCooldown.
+	breakerThreshold = 3
+	breakerCooldown  = 2 * time.Second
+	// checkpointEvery is the backend-side partial checkpoint cadence
+	// in decided faults: the granularity of migratable work.
+	checkpointEvery = 8
 )
 
 // Dispatcher fans ATPG fault lists out across backends and merges the
@@ -71,7 +62,11 @@ type Dispatcher struct {
 	cfg      Config
 	backends []*backendState
 	next     atomic.Uint64 // round-robin cursor
-	jit      *retry.Jitter
+
+	// heartbeatEvery and checkpointEvery start at the package
+	// constants; tests shorten them after New.
+	heartbeatEvery  time.Duration
+	checkpointEvery int
 }
 
 // backendState pairs a backend with its consecutive-failure breaker:
@@ -84,36 +79,11 @@ type backendState struct {
 
 // New returns a Dispatcher over cfg.Backends.
 func New(cfg Config) *Dispatcher {
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = DefaultMaxAttempts
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
-	if cfg.RetryBackoffCap <= 0 {
-		cfg.RetryBackoffCap = DefaultRetryBackoffCap
-	}
-	if cfg.HeartbeatEvery == 0 {
-		cfg.HeartbeatEvery = DefaultHeartbeatEvery
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = DefaultCheckpointEvery
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	d := &Dispatcher{cfg: cfg, jit: retry.NewJitter(seed)}
+	d := &Dispatcher{cfg: cfg, heartbeatEvery: heartbeatEvery, checkpointEvery: checkpointEvery}
 	for _, b := range cfg.Backends {
 		d.backends = append(d.backends, &backendState{
 			b:  b,
-			br: retry.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			br: retry.NewBreaker(breakerThreshold, breakerCooldown),
 		})
 	}
 	return d
@@ -143,8 +113,8 @@ func (d *Dispatcher) logf(format string, args ...any) {
 // jitter is the delay before a shard's retry number attempt: the capped
 // exponential ladder spread over [d/2, d], so simultaneous shard
 // failures do not thunder-herd the surviving backends.
-func (d *Dispatcher) jitter(attempt int) time.Duration {
-	return d.jit.Spread(retry.Backoff(d.cfg.RetryBackoff, d.cfg.RetryBackoffCap, attempt))
+func jitter(attempt int) time.Duration {
+	return retry.Spread(retry.Backoff(retryBackoff, retryBackoffCap, attempt))
 }
 
 // pick returns a backend whose breaker currently allows work, scanning
@@ -288,20 +258,17 @@ func (d *Dispatcher) partition(survivors []fault.Fault, nShards int) []*shardRun
 	return shards
 }
 
-// startHeartbeats probes every backend at HeartbeatEvery for the
+// startHeartbeats probes every backend at heartbeatEvery for the
 // duration of a Run, feeding failures into the breakers so a dead
 // backend is benched even between shard attempts. Returns a stop func.
 func (d *Dispatcher) startHeartbeats(ctx context.Context) func() {
-	if d.cfg.HeartbeatEvery < 0 {
-		return func() {}
-	}
 	hctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	for _, bs := range d.backends {
 		wg.Add(1)
 		go func(bs *backendState) {
 			defer wg.Done()
-			tick := time.NewTicker(d.cfg.HeartbeatEvery)
+			tick := time.NewTicker(d.heartbeatEvery)
 			defer tick.Stop()
 			for {
 				select {
@@ -309,7 +276,7 @@ func (d *Dispatcher) startHeartbeats(ctx context.Context) func() {
 					return
 				case <-tick.C:
 				}
-				pctx, pcancel := context.WithTimeout(hctx, d.cfg.HeartbeatEvery)
+				pctx, pcancel := context.WithTimeout(hctx, d.heartbeatEvery)
 				err := bs.b.Healthy(pctx)
 				pcancel()
 				if hctx.Err() != nil {
@@ -343,15 +310,15 @@ func (d *Dispatcher) runShard(ctx context.Context, c *netlist.Circuit, bench str
 		Bench:           bench,
 		Faults:          sh.faults,
 		Opt:             opt,
-		CheckpointEvery: d.cfg.CheckpointEvery,
+		CheckpointEvery: d.checkpointEvery,
 	}
-	for attempt := 0; attempt < d.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if attempt > 0 {
 			d.count("dispatch.retries")
-			delay := d.jitter(attempt)
+			delay := jitter(attempt)
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
@@ -403,14 +370,8 @@ func (d *Dispatcher) runShard(ctx context.Context, c *netlist.Circuit, bench str
 // attempt runs the shard once on one backend, validating the final log
 // before accepting it. Partial checkpoints stream into sh via observe.
 func (d *Dispatcher) attempt(ctx context.Context, bs *backendState, spec ShardSpec, sh *shardRun) ([]atpg.DecidedFault, error) {
-	actx := ctx
-	if d.cfg.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, d.cfg.ShardTimeout)
-		defer cancel()
-	}
 	name := bs.b.Name()
-	log, err := bs.b.Run(actx, spec, func(ck *atpg.Checkpoint) {
+	log, err := bs.b.Run(ctx, spec, func(ck *atpg.Checkpoint) {
 		sh.observe(d, spec.Circuit, spec.Opt, name, ck)
 	})
 	if err != nil {

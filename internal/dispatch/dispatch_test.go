@@ -16,6 +16,7 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
+	"repro/internal/retry"
 )
 
 // testWorkload returns a seeded random sequential circuit big enough
@@ -56,19 +57,21 @@ func locals(names ...string) []Backend {
 	return bs
 }
 
-// testConfig is a chaos-test friendly baseline: fast retries, no
-// heartbeat timing dependence, deterministic jitter.
-func testConfig(backends []Backend, reg *metrics.Registry) Config {
-	return Config{
-		Backends:         backends,
-		RetryBackoff:     time.Millisecond,
-		RetryBackoffCap:  4 * time.Millisecond,
-		HeartbeatEvery:   -1,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-		CheckpointEvery:  1,
-		Metrics:          reg,
-		Seed:             1,
+// testDispatcher is a chaos-test friendly dispatcher: a breaker that
+// opens on the first failure and stays open for the rest of the test,
+// and a partial checkpoint after every decided fault.
+func testDispatcher(backends []Backend, reg *metrics.Registry) *Dispatcher {
+	d := New(Config{Backends: backends, Metrics: reg})
+	d.checkpointEvery = 1
+	setBreakers(d, 1, time.Hour)
+	return d
+}
+
+// setBreakers gives every backend a fresh breaker with the given
+// threshold and cooldown.
+func setBreakers(d *Dispatcher, threshold int, cooldown time.Duration) {
+	for _, bs := range d.backends {
+		bs.br = retry.NewBreaker(threshold, cooldown)
 	}
 }
 
@@ -100,7 +103,7 @@ func TestDispatchByteIdentical(t *testing.T) {
 			names[i] = string(rune('A' + i))
 		}
 		reg := metrics.NewRegistry()
-		d := New(testConfig(locals(names...), reg))
+		d := testDispatcher(locals(names...), reg)
 		got, err := d.RunShards(context.Background(), c, reps, opt, 0)
 		if err != nil {
 			t.Fatalf("backends=%d: %v", n, err)
@@ -143,7 +146,7 @@ func TestDispatchRetryLadder(t *testing.T) {
 
 	t.Run("first-try-success", func(t *testing.T) {
 		reg := metrics.NewRegistry()
-		d := New(testConfig(locals("A", "B"), reg))
+		d := testDispatcher(locals("A", "B"), reg)
 		got, err := d.RunShards(ctx, c, reps, opt, 0)
 		check(t, got, err)
 		if r := reg.Counter("dispatch.retries").Value(); r != 0 {
@@ -155,13 +158,11 @@ func TestDispatchRetryLadder(t *testing.T) {
 	})
 
 	t.Run("retry-then-success", func(t *testing.T) {
-		// Backend A refuses its first two shard attempts, then recovers
-		// (its breaker cooldown is 0 here so it stays pickable); the
-		// ladder must absorb the failures.
+		// Backend A refuses its first two shard attempts, then recovers;
+		// the ladder must absorb the failures.
 		reg := metrics.NewRegistry()
-		cfg := testConfig(locals("A"), reg)
-		cfg.BreakerThreshold = 5 // keep A pickable through the failures
-		cfg.MaxAttempts = 3
+		d := testDispatcher(locals("A"), reg)
+		setBreakers(d, 5, time.Hour) // keep A pickable through the failures
 		fails := 0
 		failpoint.Enable(FailpointBackendPrefix+"A", func() error {
 			if fails < 2 {
@@ -171,7 +172,6 @@ func TestDispatchRetryLadder(t *testing.T) {
 			return nil
 		})
 		defer failpoint.Disable(FailpointBackendPrefix + "A")
-		d := New(cfg)
 		got, err := d.RunShards(ctx, c, reps, opt, 1)
 		check(t, got, err)
 		if r := reg.Counter("dispatch.retries").Value(); r != 2 {
@@ -189,8 +189,7 @@ func TestDispatchRetryLadder(t *testing.T) {
 		// the retry lands on B with A's checkpoint -- a migration. The
 		// injection counter proves the decided prefix is not recomputed.
 		reg := metrics.NewRegistry()
-		cfg := testConfig(locals("A", "B"), reg)
-		d := New(cfg)
+		d := testDispatcher(locals("A", "B"), reg)
 		survivors := survivorsOf(t, c, reps, opt)
 		if len(survivors) < 3 {
 			t.Skipf("only %d survivors", len(survivors))
@@ -225,9 +224,7 @@ func TestDispatchRetryLadder(t *testing.T) {
 		// ladder dry and degrade to in-process execution, still
 		// byte-identical.
 		reg := metrics.NewRegistry()
-		cfg := testConfig(locals("A", "B"), reg)
-		cfg.MaxAttempts = 2
-		d := New(cfg)
+		d := testDispatcher(locals("A", "B"), reg)
 		for _, n := range []string{"A", "B"} {
 			name := FailpointBackendPrefix + n
 			failpoint.Enable(name, failpoint.Errorf("chaos: backend down"))
@@ -253,10 +250,9 @@ func TestHeartbeatOpensBreaker(t *testing.T) {
 	want := atpg.Run(c, reps, opt)
 
 	reg := metrics.NewRegistry()
-	cfg := testConfig(locals("A", "B"), reg)
-	cfg.HeartbeatEvery = 2 * time.Millisecond
-	cfg.BreakerThreshold = 2
-	d := New(cfg)
+	d := testDispatcher(locals("A", "B"), reg)
+	d.heartbeatEvery = 2 * time.Millisecond
+	setBreakers(d, 2, time.Hour)
 
 	name := FailpointBackendPrefix + "A.health"
 	failpoint.Enable(name, failpoint.Errorf("chaos: torn heartbeat"))
@@ -295,7 +291,7 @@ func TestDispatchCancel(t *testing.T) {
 	c, reps := testWorkload(t, 19)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	d := New(testConfig(locals("A"), metrics.NewRegistry()))
+	d := testDispatcher(locals("A"), metrics.NewRegistry())
 	if _, err := d.RunShards(ctx, c, reps, testOptions(), 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -348,7 +344,7 @@ func TestDispatchResumeShardsUndecided(t *testing.T) {
 	backends := []Backend{recordingLocal{NewLocal("A"), rec}, recordingLocal{NewLocal("B"), rec}}
 
 	// A fresh distributed run shards every random-phase survivor once.
-	if _, err := New(testConfig(backends, nil)).RunShards(ctx, c, reps, opt, 0); err != nil {
+	if _, err := testDispatcher(backends, nil).RunShards(ctx, c, reps, opt, 0); err != nil {
 		t.Fatal(err)
 	}
 	survivors := survivorsOf(t, c, reps, opt)
@@ -405,7 +401,7 @@ func TestDispatchResumeShardsUndecided(t *testing.T) {
 	resumed := opt
 	var installed bool
 	resumed.Checkpoint = atpg.CheckpointConfig{Path: path, OnResume: func(ok bool, _ error) { installed = ok }}
-	got, err := New(testConfig(backends, nil)).RunShards(ctx, c, reps, resumed, 0)
+	got, err := testDispatcher(backends, nil).RunShards(ctx, c, reps, resumed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,24 +28,18 @@ type HTTPBackend struct {
 	name string
 	base string // http://host:port, no trailing slash
 	c    *http.Client
-
-	// PollEvery is the status poll (heartbeat) interval. Zero means
-	// DefaultPollEvery.
-	PollEvery time.Duration
-	// RequestTimeout bounds each individual HTTP request. Zero means
-	// DefaultRequestTimeout.
-	RequestTimeout time.Duration
-	// MaxPollFailures is how many consecutive failed polls Run rides
-	// out before declaring the attempt dead. Zero means
-	// DefaultMaxPollFailures.
-	MaxPollFailures int
 }
 
-// Defaults for HTTPBackend tunables.
+// The poll policy. Like the dispatcher's retry policy it cannot change
+// a result, so it is fixed.
 const (
-	DefaultPollEvery       = 50 * time.Millisecond
-	DefaultRequestTimeout  = 5 * time.Second
-	DefaultMaxPollFailures = 3
+	// pollEvery is the status poll (heartbeat) interval.
+	pollEvery = 50 * time.Millisecond
+	// requestTimeout bounds each individual HTTP request.
+	requestTimeout = 5 * time.Second
+	// maxPollFailures is how many consecutive failed polls Run rides
+	// out before declaring the attempt dead.
+	maxPollFailures = 3
 )
 
 // NewHTTPBackend returns a backend for the worker at base
@@ -60,31 +54,10 @@ func NewHTTPBackend(base string) *HTTPBackend {
 // Name implements Backend.
 func (b *HTTPBackend) Name() string { return b.name }
 
-func (b *HTTPBackend) pollEvery() time.Duration {
-	if b.PollEvery > 0 {
-		return b.PollEvery
-	}
-	return DefaultPollEvery
-}
-
-func (b *HTTPBackend) reqTimeout() time.Duration {
-	if b.RequestTimeout > 0 {
-		return b.RequestTimeout
-	}
-	return DefaultRequestTimeout
-}
-
-func (b *HTTPBackend) maxPollFailures() int {
-	if b.MaxPollFailures > 0 {
-		return b.MaxPollFailures
-	}
-	return DefaultMaxPollFailures
-}
-
 // do performs one request with the per-request timeout, decoding a JSON
 // response into out when non-nil. Non-2xx responses are errors.
 func (b *HTTPBackend) do(ctx context.Context, method, path string, body, out any) error {
-	rctx, cancel := context.WithTimeout(ctx, b.reqTimeout())
+	rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -171,12 +144,12 @@ func (b *HTTPBackend) Run(ctx context.Context, spec ShardSpec, progress Progress
 	// worker CPU; a fresh context because ctx may already be done.
 	defer func() {
 		base := httpmw.ContextWithID(context.Background(), httpmw.IDFromContext(ctx))
-		dctx, cancel := context.WithTimeout(base, b.reqTimeout())
+		dctx, cancel := context.WithTimeout(base, requestTimeout)
 		defer cancel()
 		b.do(dctx, http.MethodDelete, path, nil, nil) //nolint:errcheck
 	}()
 
-	tick := time.NewTicker(b.pollEvery())
+	tick := time.NewTicker(pollEvery)
 	defer tick.Stop()
 	fails := 0
 	for {
@@ -190,7 +163,7 @@ func (b *HTTPBackend) Run(ctx context.Context, spec ShardSpec, progress Progress
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			if fails++; fails > b.maxPollFailures() {
+			if fails++; fails > maxPollFailures {
 				return nil, fmt.Errorf("backend %s: %d consecutive poll failures: %w", b.name, fails, err)
 			}
 			continue

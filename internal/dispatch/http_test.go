@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -18,7 +19,7 @@ import (
 )
 
 // newTestWorker mounts a Worker on an httptest server and returns an
-// HTTPBackend pointed at it, with a fast poll cadence.
+// HTTPBackend pointed at it.
 func newTestWorker(t *testing.T, wrap func(http.Handler) http.Handler) *HTTPBackend {
 	t.Helper()
 	w := NewWorker(WorkerConfig{MaxConcurrent: 2, Metrics: metrics.NewRegistry()})
@@ -31,10 +32,7 @@ func newTestWorker(t *testing.T, wrap func(http.Handler) http.Handler) *HTTPBack
 		srv.Close()
 		w.Close()
 	})
-	b := NewHTTPBackend(srv.URL)
-	b.PollEvery = 2 * time.Millisecond
-	b.RequestTimeout = 2 * time.Second
-	return b
+	return NewHTTPBackend(srv.URL)
 }
 
 // TestWorkerEndToEnd: a dispatcher over two real HTTP workers merges
@@ -45,8 +43,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	want := atpg.Run(c, reps, opt)
 
 	reg := metrics.NewRegistry()
-	cfg := testConfig([]Backend{newTestWorker(t, nil), newTestWorker(t, nil)}, reg)
-	d := New(cfg)
+	d := testDispatcher([]Backend{newTestWorker(t, nil), newTestWorker(t, nil)}, reg)
 	got, err := d.RunShards(context.Background(), c, reps, opt, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -81,12 +78,10 @@ func TestWorkerDiesMidRun(t *testing.T) {
 			h.ServeHTTP(rw, r)
 		})
 	})
-	dying.MaxPollFailures = 1
 	healthy := newTestWorker(t, nil)
 
 	reg := metrics.NewRegistry()
-	cfg := testConfig([]Backend{dying, healthy}, reg)
-	d := New(cfg)
+	d := testDispatcher([]Backend{dying, healthy}, reg)
 	got, err := d.RunShards(context.Background(), c, reps, opt, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +95,7 @@ func TestWorkerDiesMidRun(t *testing.T) {
 }
 
 // TestTornHeartbeatTolerated: a worker whose polls fail transiently
-// (fewer consecutive failures than MaxPollFailures) is NOT declared
+// (fewer consecutive failures than maxPollFailures) is NOT declared
 // dead -- the attempt rides it out and completes on the first try.
 func TestTornHeartbeatTolerated(t *testing.T) {
 	c, reps := testWorkload(t, 31)
@@ -120,11 +115,9 @@ func TestTornHeartbeatTolerated(t *testing.T) {
 			h.ServeHTTP(rw, r)
 		})
 	})
-	flaky.MaxPollFailures = 2
 
 	reg := metrics.NewRegistry()
-	cfg := testConfig([]Backend{flaky}, reg)
-	d := New(cfg)
+	d := testDispatcher([]Backend{flaky}, reg)
 	got, err := d.RunShards(context.Background(), c, reps, opt, 1) // one poll stream, so "every other" is per-attempt
 	if err != nil {
 		t.Fatal(err)
@@ -170,13 +163,8 @@ func TestPoisonedResponseRejected(t *testing.T) {
 		}
 	}))
 	defer poison.Close()
-	b := NewHTTPBackend(poison.URL)
-	b.PollEvery = time.Millisecond
-
 	reg := metrics.NewRegistry()
-	cfg := testConfig([]Backend{b}, reg)
-	cfg.MaxAttempts = 2
-	d := New(cfg)
+	d := testDispatcher([]Backend{NewHTTPBackend(poison.URL)}, reg)
 	got, err := d.RunShards(context.Background(), c, reps, opt, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -189,19 +177,24 @@ func TestPoisonedResponseRejected(t *testing.T) {
 	}
 }
 
-// TestSlowBackendDeadline: a backend that sits on the shard past the
-// per-shard deadline is timed out and the work moves on (here to the
-// healthy backend).
+// TestSlowBackendDeadline: a backend that sits on a shard forever is
+// bounded by the job's deadline, and the worker learns that deadline
+// as the shard request's deadline_ms.
 func TestSlowBackendDeadline(t *testing.T) {
 	c, reps := testWorkload(t, 41)
-	opt := testOptions()
-	want := atpg.Run(c, reps, opt)
 
 	// The slow worker accepts the shard and then reports "running"
 	// forever, never finishing.
+	var deadlineMS atomic.Int64
 	stuck := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.Method == http.MethodPost:
+			var req shardRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(rw, err.Error(), http.StatusBadRequest)
+				return
+			}
+			deadlineMS.Store(req.DeadlineMS)
 			rw.WriteHeader(http.StatusAccepted)
 			rw.Write([]byte(`{"id":"s1"}`))
 		case r.Method == http.MethodGet && r.URL.Path == "/healthz":
@@ -213,27 +206,20 @@ func TestSlowBackendDeadline(t *testing.T) {
 		}
 	}))
 	defer stuck.Close()
-	slow := NewHTTPBackend(stuck.URL)
-	slow.PollEvery = time.Millisecond
-	healthy := newTestWorker(t, nil)
 
-	reg := metrics.NewRegistry()
-	cfg := testConfig([]Backend{slow, healthy}, reg)
-	cfg.ShardTimeout = 50 * time.Millisecond
-	d := New(cfg)
+	d := testDispatcher([]Backend{NewHTTPBackend(stuck.URL)}, metrics.NewRegistry())
+	const budget = time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
 	start := time.Now()
-	got, err := d.RunShards(context.Background(), c, reps, opt, 1)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := d.RunShards(ctx, c, reps, testOptions(), 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if !reflect.DeepEqual(normalize(want), normalize(got)) {
-		t.Fatal("result differs from serial Run with a stuck backend")
-	}
-	if r := reg.Counter("dispatch.retries").Value(); r < 1 {
-		t.Fatal("stuck backend never timed out into a retry")
+	if ms := deadlineMS.Load(); ms <= 0 || ms > budget.Milliseconds() {
+		t.Fatalf("shard request deadline_ms = %d, want in (0, %d]", ms, budget.Milliseconds())
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("deadline did not bound the stuck attempt (took %v)", elapsed)
+		t.Fatalf("the job deadline did not bound the stuck attempt (took %v)", elapsed)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/atpg"
 	"repro/internal/httpmw"
@@ -46,12 +45,9 @@ func TestRequestIDReachesWorker(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 	b := NewHTTPBackend(srv.URL)
-	b.PollEvery = 2 * time.Millisecond
-	b.RequestTimeout = 2 * time.Second
 
 	reg := metrics.NewRegistry()
-	cfg := testConfig([]Backend{b}, reg)
-	d := New(cfg)
+	d := testDispatcher([]Backend{b}, reg)
 	const reqID = "REQ123TEST"
 	got, err := d.RunShards(httpmw.ContextWithID(context.Background(), reqID), c, reps, opt, 0)
 	if err != nil {

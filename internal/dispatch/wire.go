@@ -117,8 +117,9 @@ type shardRequest struct {
 	// CheckpointEvery is the partial-checkpoint cadence in decided
 	// faults (0 = atpg.DefaultCheckpointEvery).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// DeadlineMS bounds the shard's run on the worker (0 = none); the
-	// dispatcher enforces its own per-shard deadline regardless.
+	// DeadlineMS bounds the shard's run on the worker (0 = none): the
+	// time left before the job's deadline, which also cancels the
+	// dispatcher's side of the attempt.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 

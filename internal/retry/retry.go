@@ -1,16 +1,17 @@
 // Package retry holds the degradation primitives every durability and
 // distribution path shares: one consecutive-failure circuit Breaker,
-// one capped exponential Backoff ladder, and one deterministic Jitter
-// that spreads delays so independent retry schedules decorrelate.
+// one capped exponential Backoff ladder, and one Spread that jitters
+// delays so independent retry schedules decorrelate.
 //
 // Users: dispatch benches a backend behind a Breaker and spaces shard
-// attempts with Backoff+Jitter; the result cache's disk tier and the
+// attempts with Backoff+Spread; the result cache's disk tier and the
 // job journal each run their degraded (memory-only) mode behind a
 // Breaker; the service's crash-recovery and watchdog requeues wait out
-// Backoff+Jitter.
+// Backoff+Spread.
 package retry
 
 import (
+	"math/rand/v2"
 	"sync"
 	"time"
 )
@@ -95,40 +96,14 @@ func Backoff(base, limit time.Duration, attempt int) time.Duration {
 	return min(d, limit)
 }
 
-// Jitter spreads retry delays over [d/2, d] with a deterministic seeded
-// PRNG, so independent retry schedules (shard attempts, recovered-job
-// re-runs, watchdog requeues) decorrelate instead of stampeding in
-// lockstep. Safe for concurrent use.
-type Jitter struct {
-	mu  sync.Mutex
-	rng splitMix
-}
-
-// NewJitter returns a Jitter seeded with seed (same seed, same
-// sequence -- tests pin schedules this way).
-func NewJitter(seed int64) *Jitter {
-	return &Jitter{rng: splitMix{s: uint64(seed) + 0x9e3779b97f4a7c15}}
-}
-
-// Spread maps a base delay d to a uniform pick from [d/2, d].
-func (j *Jitter) Spread(d time.Duration) time.Duration {
+// Spread maps a base delay d to a uniform pick from [d/2, d], so
+// independent retry schedules (shard attempts, recovered-job re-runs,
+// watchdog requeues) decorrelate instead of stampeding in lockstep.
+// Safe for concurrent use.
+func Spread(d time.Duration) time.Duration {
 	half := d / 2
 	if half <= 0 {
 		return d
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return half + time.Duration(j.rng.next()%uint64(half+1))
-}
-
-// splitMix is the same tiny deterministic PRNG the ATPG random phase
-// uses.
-type splitMix struct{ s uint64 }
-
-func (r *splitMix) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return half + rand.N(half+1)
 }

@@ -53,9 +53,10 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
-// TestBreakerThresholdOne: the journal's configuration -- the first
-// failure opens, the next attempt is denied until the cooldown.
-func TestBreakerThresholdOne(t *testing.T) {
+// TestBreakerOpensOnFirstFailure: the journal's configuration,
+// threshold 1 -- the first failure opens, the next attempt is denied
+// until the cooldown.
+func TestBreakerOpensOnFirstFailure(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	b := NewBreaker(1, 2*time.Second)
 	if !b.Failure(t0) {
@@ -92,26 +93,24 @@ func TestBackoffShape(t *testing.T) {
 	}
 }
 
-func TestJitterDeterministic(t *testing.T) {
-	a, b := NewJitter(42), NewJitter(42)
-	other := NewJitter(43)
-	mismatched := false
-	for i := 0; i < 32; i++ {
-		x := a.Spread(time.Second)
-		if x < 500*time.Millisecond || x > time.Second {
-			t.Fatalf("spread %v outside [500ms, 1s]", x)
+// TestSpreadBounds: every draw lands in [d/2, d], the draws are not
+// all equal, and a delay too small to halve passes through.
+func TestSpreadBounds(t *testing.T) {
+	d := time.Second
+	seen := make(map[time.Duration]bool)
+	for i := 0; i < 64; i++ {
+		x := Spread(d)
+		if x < d/2 || x > d {
+			t.Fatalf("spread %v outside [%v, %v]", x, d/2, d)
 		}
-		if x != b.Spread(time.Second) {
-			t.Fatal("equal seeds diverged")
-		}
-		if x != other.Spread(time.Second) {
-			mismatched = true
-		}
+		seen[x] = true
 	}
-	if !mismatched {
-		t.Fatal("different seeds produced the identical 32-draw sequence")
+	if len(seen) < 2 {
+		t.Fatal("64 draws over [500ms, 1s] were all equal")
 	}
-	if d := NewJitter(1).Spread(1); d != 1 {
-		t.Fatalf("sub-divisible delay %v, want passthrough", d)
+	for _, d := range []time.Duration{0, 1} {
+		if got := Spread(d); got != d {
+			t.Fatalf("Spread(%v) = %v, want passthrough", d, got)
+		}
 	}
 }

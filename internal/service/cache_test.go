@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/netlist"
@@ -177,7 +176,7 @@ func TestCacheUndecodablePayload(t *testing.T) {
 		j.append(journalEntry{Event: evSubmit, ID: "job-000001", Req: &req})
 		j.append(journalEntry{Event: evStart, ID: "job-000001", Attempt: 1})
 		j.Close()
-		s, err := Open(Config{Workers: 1, JournalPath: path, CacheDir: cacheDir, RetryBackoff: time.Millisecond})
+		s, err := Open(Config{Workers: 1, JournalPath: path, CacheDir: cacheDir})
 		if err != nil {
 			t.Fatal(err)
 		}

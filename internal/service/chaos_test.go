@@ -247,7 +247,7 @@ func TestCrashRecovery(t *testing.T) {
 }
 
 // TestRecoveryGivesUpAfterMaxAttempts: a job whose start is journaled
-// MaxAttempts times without a terminal entry is a crash-looper; the
+// maxAttempts times without a terminal entry is a crash-looper; the
 // next recovery fails it instead of re-queueing it a fourth time.
 func TestRecoveryGivesUpAfterMaxAttempts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
@@ -262,7 +262,7 @@ func TestRecoveryGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 	j.Close()
 
-	s, err := Open(Config{Workers: 1, JournalPath: path, MaxAttempts: 3})
+	s, err := Open(Config{Workers: 1, JournalPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +293,7 @@ func TestRecoveryBackoff(t *testing.T) {
 	}
 	j.Close()
 
-	s, err := Open(Config{
-		Workers: 1, JournalPath: path,
-		RetryBackoff: 50 * time.Millisecond, RetryBackoffCap: time.Second,
-	})
+	s, err := Open(Config{Workers: 1, JournalPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,10 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
-	"repro/internal/retry"
 )
 
 // startWorkers launches n in-process shard workers over HTTP and
@@ -139,23 +137,5 @@ func TestNegativeBackendsRejected(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
 	if _, err := s.Submit(distRequest(-1)); err == nil {
 		t.Fatal("negative backends accepted")
-	}
-}
-
-// TestRetryJitterSeeded pins the recovery-backoff jitter: a fixed
-// RetryJitterSeed reproduces the exact retry.NewJitter sequence, and
-// every draw stays inside [d/2, d].
-func TestRetryJitterSeeded(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, RetryJitterSeed: 42})
-	want := retry.NewJitter(42)
-	base := 100 * time.Millisecond
-	for i := 0; i < 16; i++ {
-		got := s.jit.Spread(base)
-		if got < base/2 || got > base {
-			t.Fatalf("draw %d: %v outside [%v, %v]", i, got, base/2, base)
-		}
-		if w := want.Spread(base); got != w {
-			t.Fatalf("draw %d: %v, want %v (seeded schedule must be reproducible)", i, got, w)
-		}
 	}
 }

@@ -60,16 +60,6 @@ type Config struct {
 	// SyncJournal fsyncs the journal after every entry. Off by default:
 	// the write-behind window is one OS page cache flush.
 	SyncJournal bool
-	// MaxAttempts bounds how many times a job may be started across
-	// crashes before recovery gives up and fails it; default 3.
-	MaxAttempts int
-	// RetryBackoff is the base delay before re-running a job that was
-	// already running when the process died (attempt n waits
-	// RetryBackoff << (n-2), capped at RetryBackoffCap), so a job that
-	// crashes the server on every attempt cannot crash-loop it at full
-	// speed. Defaults 100ms / 5s.
-	RetryBackoff    time.Duration
-	RetryBackoffCap time.Duration
 
 	// CheckpointEvery is the durable ATPG checkpoint cadence in decided
 	// faults for journaled ATPG and DeriveTests jobs: each such job
@@ -107,16 +97,9 @@ type Config struct {
 	// checkpoint. 0 (the default) disables the watchdog. Size it to a
 	// comfortable multiple of the longest healthy stage: the heartbeats
 	// come from stage boundaries, so a single legitimately long stage
-	// must fit inside the window.
+	// must fit inside the window. The watchdog scans every
+	// WatchdogWindow/4 (at least every 10ms).
 	WatchdogWindow time.Duration
-	// WatchdogPoll is how often the watchdog scans running jobs;
-	// default WatchdogWindow/4 (min 10ms).
-	WatchdogPoll time.Duration
-
-	// RetryJitterSeed seeds the PRNG that jitters recovery retry
-	// backoffs over [d/2, d] (0: seeded from the clock). A fixed seed
-	// makes backoff schedules reproducible in tests.
-	RetryJitterSeed int64
 
 	// Logger, when non-nil, receives job lifecycle records tagged with
 	// the originating HTTP request ID (see SubmitWithRequestID) and the
@@ -138,25 +121,31 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.RetryBackoffCap <= 0 {
-		c.RetryBackoffCap = 5 * time.Second
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = atpg.DefaultCheckpointEvery
 	}
-	if c.WatchdogWindow > 0 && c.WatchdogPoll <= 0 {
-		c.WatchdogPoll = c.WatchdogWindow / 4
-		if c.WatchdogPoll < 10*time.Millisecond {
-			c.WatchdogPoll = 10 * time.Millisecond
-		}
-	}
 	return c
+}
+
+// The retry policy for jobs that crashed the process or stalled. It
+// cannot change a result (a retried job is byte-identical), so it is
+// fixed.
+const (
+	// maxAttempts bounds how many times a job may be started, across
+	// crashes and watchdog requeues, before it fails for good.
+	maxAttempts = 3
+	// retryBackoff is the base delay before re-running a job that was
+	// already running when the process died or stalled: retry k waits
+	// retryBackoff << (k-1), capped at retryBackoffCap and spread over
+	// [d/2, d], so a job that crashes the server on every attempt
+	// cannot crash-loop it at full speed.
+	retryBackoff    = 100 * time.Millisecond
+	retryBackoffCap = 5 * time.Second
+)
+
+// retryDelay is the jittered backoff before retry number attempt.
+func retryDelay(attempt int) time.Duration {
+	return retry.Spread(retry.Backoff(retryBackoff, retryBackoffCap, attempt))
 }
 
 // Submission errors.
@@ -184,7 +173,6 @@ type Service struct {
 	jrnl  *journal
 	cache *resultcache.Cache
 	disp  *dispatch.Dispatcher // nil without configured backends
-	jit   *retry.Jitter        // recovery retry backoff jitter
 
 	// attempts tracks every compute goroutine runJob starts, including
 	// ones a stalled attempt abandoned; shutdown joins them so none
@@ -214,23 +202,18 @@ func New(cfg Config) *Service {
 // Open starts a service. With cfg.JournalPath set it first replays the
 // journal: every job the previous process accepted reappears in the
 // store, and the ones that never reached a terminal state are re-queued
-// (subject to cfg.MaxAttempts, with capped exponential backoff for jobs
+// (subject to maxAttempts, with capped exponential backoff for jobs
 // that were already running -- they may have crashed the process). The
 // number of re-queued jobs is exposed as the jobs.recovered counter.
 func Open(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	base, stop := context.WithCancel(context.Background())
-	seed := cfg.RetryJitterSeed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	s := &Service{
 		cfg:    cfg,
 		reg:    cfg.Metrics,
 		log:    cfg.Logger,
 		base:   base,
 		stop:   stop,
-		jit:    retry.NewJitter(seed),
 		jobs:   make(map[string]*Job),
 		timers: make(map[string]*time.Timer),
 		done:   make(chan struct{}),
@@ -340,7 +323,7 @@ func (s *Service) recover(path string) (requeue []*Job, backoffs []time.Duration
 		if r.Status.Terminal() {
 			continue
 		}
-		if r.Attempt >= s.cfg.MaxAttempts {
+		if r.Attempt >= maxAttempts {
 			gaveUp = append(gaveUp, j)
 			continue
 		}
@@ -352,7 +335,7 @@ func (s *Service) recover(path string) (requeue []*Job, backoffs []time.Duration
 		if r.Attempt > 0 {
 			// Jitter over [delay/2, delay]: recovered jobs that crashed
 			// together should not all re-fire on the same tick.
-			delay = s.jit.Spread(retry.Backoff(s.cfg.RetryBackoff, s.cfg.RetryBackoffCap, r.Attempt))
+			delay = retryDelay(r.Attempt)
 		}
 		backoffs = append(backoffs, delay)
 	}
@@ -717,7 +700,7 @@ func (s *Service) retryEnqueue(j *Job) {
 		s.mu.Unlock()
 		s.reg.Gauge("queue.depth").Add(1)
 	default:
-		s.timers[j.id] = time.AfterFunc(s.jit.Spread(s.cfg.RetryBackoff), func() { s.retryEnqueue(j) })
+		s.timers[j.id] = time.AfterFunc(retry.Spread(retryBackoff), func() { s.retryEnqueue(j) })
 		s.mu.Unlock()
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"repro/internal/retry"
 )
 
 // The stuck-progress watchdog catches the failure the deadline cannot:
@@ -14,7 +12,7 @@ import (
 // and would otherwise squat on its worker until the job timeout burns
 // the whole budget. Running jobs emit progress heartbeats from their
 // stage boundaries and checkpoint writes; the watchdog scans every
-// cfg.WatchdogPoll and trips any running job whose last heartbeat is
+// quarter window (at least every 10ms) and trips any running job whose last heartbeat is
 // older than cfg.WatchdogWindow: the attempt's context is cancelled,
 // the owning worker abandons it, and the job goes back through the
 // same capped, jittered retry ladder crash recovery uses -- resuming
@@ -27,7 +25,7 @@ import (
 // context is cancelled (shutdown) and signals that via wdDone.
 func (s *Service) watchdog() {
 	defer close(s.wdDone)
-	t := time.NewTicker(s.cfg.WatchdogPoll)
+	t := time.NewTicker(max(s.cfg.WatchdogWindow/4, 10*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -60,7 +58,7 @@ func (s *Service) watchdogScan(now time.Time) {
 }
 
 // requeueOrFail routes a stalled attempt back through the retry
-// ladder: under MaxAttempts the job re-queues with the same capped,
+// ladder: under maxAttempts the job re-queues with the same capped,
 // jittered exponential backoff crash recovery uses (and resumes from
 // its durable checkpoint, when it has one); at the limit it fails for
 // good. A job that went terminal or was cancelled while the trip was
@@ -71,12 +69,12 @@ func (s *Service) requeueOrFail(j *Job) {
 		s.finishJob(j, nil, context.Canceled)
 		return
 	}
-	if attempt >= s.cfg.MaxAttempts {
+	if attempt >= maxAttempts {
 		s.finishJob(j, nil, fmt.Errorf("service: stalled on attempt %d/%d (no progress for %s); giving up",
-			attempt, s.cfg.MaxAttempts, s.cfg.WatchdogWindow))
+			attempt, maxAttempts, s.cfg.WatchdogWindow))
 		return
 	}
-	delay := s.jit.Spread(retry.Backoff(s.cfg.RetryBackoff, s.cfg.RetryBackoffCap, attempt))
+	delay := retryDelay(attempt)
 	s.reg.Counter("service.watchdog.requeued").Inc()
 	s.log.Warnf("id=%s job=%s attempt=%d stalled; requeued with %s backoff",
 		j.reqID, j.id, attempt, delay.Round(time.Millisecond))

@@ -19,7 +19,7 @@ import (
 // drive atpgRequest (random phase off): every fault takes the
 // deterministic path, so each is a checkpoint boundary -- both a
 // heartbeat and a place for the failpoint to wedge the attempt.
-func watchdogService(t *testing.T, reg *metrics.Registry, maxAttempts int) *Service {
+func watchdogService(t *testing.T, reg *metrics.Registry) *Service {
 	t.Helper()
 	s := New(Config{
 		Workers:         2,
@@ -27,11 +27,6 @@ func watchdogService(t *testing.T, reg *metrics.Registry, maxAttempts int) *Serv
 		JournalPath:     filepath.Join(t.TempDir(), "jobs.journal"),
 		CheckpointEvery: 1,
 		WatchdogWindow:  250 * time.Millisecond,
-		WatchdogPoll:    20 * time.Millisecond,
-		MaxAttempts:     maxAttempts,
-		RetryBackoff:    10 * time.Millisecond,
-		RetryBackoffCap: 50 * time.Millisecond,
-		RetryJitterSeed: 1,
 	})
 	t.Cleanup(s.Close)
 	return s
@@ -46,7 +41,7 @@ func watchdogService(t *testing.T, reg *metrics.Registry, maxAttempts int) *Serv
 func TestWatchdogRequeuesStalledJob(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	reg := metrics.NewRegistry()
-	s := watchdogService(t, reg, 3)
+	s := watchdogService(t, reg)
 
 	// Block exactly the third checkpoint write of attempt 1. Later
 	// calls (attempt 2's writes) pass untouched, so only the one wedged
@@ -105,20 +100,22 @@ func TestWatchdogRequeuesStalledJob(t *testing.T) {
 }
 
 // TestWatchdogGivesUpAtMaxAttempts wedges every attempt: with
-// MaxAttempts=2 the second stall must fail the job for good, with an
+// maxAttempts=3 the third stall must fail the job for good, with an
 // error naming the stall, not hang or requeue forever.
 func TestWatchdogGivesUpAtMaxAttempts(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	reg := metrics.NewRegistry()
-	s := watchdogService(t, reg, 2)
+	s := watchdogService(t, reg)
 
-	// Every third checkpoint write of each attempt blocks; close(block)
-	// releases all parked goroutines at cleanup.
+	// Every checkpoint write from the third on blocks, so attempt 1
+	// wedges after two writes and each retry wedges on its first, before
+	// the resumed attempts can finish the job; close(block) releases all
+	// parked goroutines at cleanup.
 	var calls atomic.Int64
 	block := make(chan struct{})
 	t.Cleanup(func() { close(block) })
 	failpoint.Enable(atpg.FailpointCheckpointBeforeWrite, func() error {
-		if calls.Add(1)%3 == 0 {
+		if calls.Add(1) >= 3 {
 			<-block
 		}
 		return nil
@@ -137,10 +134,10 @@ func TestWatchdogGivesUpAtMaxAttempts(t *testing.T) {
 	if v.Status != StatusFailed || !strings.Contains(v.Error, "stalled") {
 		t.Fatalf("status = %s (%q), want failed with a stall error", v.Status, v.Error)
 	}
-	if got := reg.Counter("service.watchdog.stalled").Value(); got != 2 {
-		t.Fatalf("watchdog.stalled = %d, want 2", got)
+	if got := reg.Counter("service.watchdog.stalled").Value(); got != 3 {
+		t.Fatalf("watchdog.stalled = %d, want 3", got)
 	}
-	if got := reg.Counter("service.watchdog.requeued").Value(); got != 1 {
-		t.Fatalf("watchdog.requeued = %d, want 1 (the second stall gives up)", got)
+	if got := reg.Counter("service.watchdog.requeued").Value(); got != 2 {
+		t.Fatalf("watchdog.requeued = %d, want 2 (the third stall gives up)", got)
 	}
 }
