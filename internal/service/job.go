@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -104,8 +105,15 @@ func (r *Request) Validate() error {
 	if _, err := parseFill(r.Fill); err != nil {
 		return err
 	}
-	if r.Kind == KindFaultSim && r.Tests == "" {
-		return fmt.Errorf("service: fault_sim job needs a test sequence")
+	if r.Kind == KindFaultSim {
+		if r.Tests == "" {
+			return fmt.Errorf("service: fault_sim job needs a test sequence")
+		}
+		for i, c := range r.Tests {
+			if !strings.ContainsRune("01xX, \t", c) {
+				return fmt.Errorf("service: fault_sim tests: bad character %q at byte %d (want 0, 1 or x, vectors separated by commas, spaces or tabs)", c, i)
+			}
+		}
 	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("service: negative timeout")

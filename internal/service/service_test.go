@@ -47,6 +47,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad mode", Request{Kind: KindRetime, Bench: bench, Mode: "sideways"}},
 		{"bad fill", Request{Kind: KindDeriveTests, Bench: bench, Fill: "sevens"}},
 		{"fault_sim without tests", Request{Kind: KindFaultSim, Bench: bench}},
+		{"fault_sim tests with a letter", Request{Kind: KindFaultSim, Bench: bench, Tests: "01a,1-0"}},
+		{"fault_sim tests with a multibyte rune", Request{Kind: KindFaultSim, Bench: bench, Tests: "é1"}},
 		{"negative timeout", Request{Kind: KindATPG, Bench: bench, TimeoutMS: -1}},
 	}
 	for _, c := range cases {

@@ -23,11 +23,11 @@ type Vec = []logic.V
 // Seq is a sequence of vectors applied on consecutive clock cycles.
 type Seq = []Vec
 
-// ParseVec parses a vector literal such as "01x".
+// ParseVec parses a vector literal such as "01x", one value per rune.
 func ParseVec(s string) Vec {
-	v := make(Vec, len(s))
-	for i, r := range s {
-		v[i] = logic.FromRune(r)
+	v := make(Vec, 0, len(s))
+	for _, r := range s {
+		v = append(v, logic.FromRune(r))
 	}
 	return v
 }

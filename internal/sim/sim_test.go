@@ -11,6 +11,11 @@ func TestParseHelpers(t *testing.T) {
 	if v[0] != logic.Zero || v[1] != logic.One || v[2] != logic.X {
 		t.Fatalf("ParseVec = %v", v)
 	}
+	// One value per rune: a multibyte rune is one (unknown) value, not
+	// one per byte.
+	if got := VecString(ParseVec("é1")); got != "x1" {
+		t.Fatalf(`ParseVec("é1") = %q, want "x1"`, got)
+	}
 	if VecString(v) != "01x" {
 		t.Fatalf("VecString = %q", VecString(v))
 	}
