@@ -86,8 +86,9 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	// Out-of-range values are usage errors, never silently replaced:
 	// the service would swap a zero queue or timeout for its default,
 	// a negative worker count for GOMAXPROCS and a negative drain or
-	// watchdog window for none, and a body limit below 1 would turn the
-	// limit off.
+	// watchdog window for none, a body limit below 1 would turn the
+	// limit off, and a cache directory would be ignored with the cache
+	// off.
 	var bad string
 	switch {
 	case *logBuffer < 1 || *logBuffer > logger.MaxCapacity:
@@ -104,6 +105,8 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		bad = fmt.Sprintf("-drain %v must not be negative", *drain)
 	case *watchdog < 0:
 		bad = fmt.Sprintf("-watchdog %v must not be negative", *watchdog)
+	case *cacheBytes < 0 && *cacheDir != "":
+		bad = fmt.Sprintf("-cache-dir %q needs the cache, which -cache-bytes %d turns off", *cacheDir, *cacheBytes)
 	}
 	if bad != "" {
 		fmt.Fprintln(stderr, "servd:", bad)

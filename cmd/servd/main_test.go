@@ -175,6 +175,34 @@ func TestDeriveTestsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDoneJobBodyIsCompact: servd writes compact JSON. The GET body of
+// a done job, less the newline the encoder ends it with, is unchanged
+// by json.Compact.
+func TestDoneJobBodyIsCompact(t *testing.T) {
+	srv := newTestServer(t, service.Config{Workers: 1})
+	id := postJob(t, srv, service.Request{Kind: service.KindDeriveTests, Bench: netlist.BenchString(netlist.Fig5N2())})
+	if v := pollJob(t, srv, id); v.Status != service.StatusDone {
+		t.Fatalf("status %s, error %q", v.Status, v.Error)
+	}
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = bytes.TrimSuffix(body, []byte("\n"))
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, body); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compact.Bytes(), body) {
+		t.Fatalf("done job body is not compact JSON: %d bytes, %d compacted", len(body), compact.Len())
+	}
+}
+
 func TestJobTimeoutOverHTTP(t *testing.T) {
 	srv := newTestServer(t, service.Config{Workers: 1})
 	big := benchCircuit(t, 300, 24)
@@ -290,6 +318,9 @@ func TestCLIMainErrors(t *testing.T) {
 		{"workers negative", []string{"-workers", "-3"}, 2},
 		{"drain negative", []string{"-drain", "-1s"}, 2},
 		{"watchdog negative", []string{"-watchdog", "-5s"}, 2},
+		// An unusable -addr makes a server that got past validation exit
+		// 1 instead of listening.
+		{"cache dir with cache off", []string{"-cache-dir", t.TempDir(), "-cache-bytes", "-1", "-addr", "no-port"}, 2},
 	}
 	for _, c := range cases {
 		var out, errw bytes.Buffer

@@ -45,8 +45,6 @@ func (l *Logger) TailHandler() http.Handler {
 			}
 		}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
+		json.NewEncoder(w).Encode(out)
 	})
 }
