@@ -20,8 +20,9 @@ import (
 )
 
 // checkpointedATPGRequest is a deterministic ATPG job with the random
-// phase off, so every collapsed fault is a decided-fault boundary the
-// Every=1 cadence checkpoints at.
+// phase off, so every collapsed fault is a decided fault: its 342
+// faults cross five checkpoint boundaries at servd's cadence
+// (atpg.DefaultCheckpointEvery, 64).
 func checkpointedATPGRequest(t *testing.T) service.Request {
 	t.Helper()
 	off := false
@@ -61,7 +62,7 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 	defer failpoint.DisableAll()
 
 	svc1, err := service.Open(service.Config{
-		Workers: 1, JournalPath: path, CheckpointEvery: 1, DefaultTimeout: time.Minute,
+		Workers: 1, JournalPath: path, DefaultTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +85,7 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 	// Second life: recovery re-queues the job; its retry must resume
 	// from the partial checkpoint and converge on the same result.
 	svc2, err := service.Open(service.Config{
-		Workers: 1, JournalPath: path, CheckpointEvery: 1, DefaultTimeout: time.Minute,
+		Workers: 1, JournalPath: path, DefaultTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +133,7 @@ func TestCancelRacesCheckpointWrite(t *testing.T) {
 
 	svc, err := service.Open(service.Config{
 		Workers: 1, JournalPath: filepath.Join(dir, "jobs.journal"),
-		CheckpointEvery: 1, DefaultTimeout: time.Minute,
+		DefaultTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,15 +27,15 @@ func benchDropOptions() Options {
 	return opt
 }
 
-func benchDropWorkload(b *testing.B) (*netlist.Circuit, []fault.Fault) {
-	b.Helper()
+func benchDropWorkload(tb testing.TB) (*netlist.Circuit, []fault.Fault) {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(2))
 	c := netlist.Random(rng, netlist.RandomParams{
 		Inputs: 8, Outputs: 8, Gates: 400, DFFs: 24, MaxFanin: 4,
 	})
 	faults := fault.Universe(c)
 	if len(faults) < 1000 {
-		b.Fatalf("workload has only %d faults", len(faults))
+		tb.Fatalf("workload has only %d faults", len(faults))
 	}
 	return c, faults
 }

@@ -11,7 +11,9 @@ import (
 )
 
 // engine is the per-circuit PODEM machinery. One engine is reused for
-// every target fault; generate resets the per-fault state.
+// every target fault; generate resets the per-fault state. All scratch
+// state is engine-owned and reused across decisions, frame counts and
+// faults.
 type engine struct {
 	c     *netlist.Circuit
 	opt   Options
@@ -26,28 +28,50 @@ type engine struct {
 	pi         [][]logic.V
 	state      []logic.V
 	val        [][]logic.C
+	stack      []decision
 	evals      int64
 	backtracks int64
 	budget     int64
 
-	// reusable rail buffers for the simulate hot loop
+	// rail buffers of evalGate, sized to the widest fanin
 	goodBuf, faultyBuf []logic.V
 	// dirty is the first frame whose values are stale; frames are only
 	// re-evaluated from there (an assignment at frame t cannot change
 	// earlier frames).
 	dirty int
-	// xmark is the visited set of the X-path check, sized frames*nodes.
-	xmark []bool
+	// full makes the next simulate sweep every gate (podem sets it for
+	// each new fault and frame count); later calls are event-driven.
+	// sweepOnly keeps every call a full sweep, the reference the
+	// event-driven path is tested against.
+	full, sweepOnly bool
+	// evaluated counts the gates simulate actually evaluated; evals
+	// charges the full sweep whichever path ran.
+	evaluated int64
+	// Event-driven implication: gateOut lists each node's gate fanouts
+	// with their levels, buckets holds a frame's pending gates per
+	// level, and queued marks the gates already in a bucket.
+	gateOut [][]netlist.GateRef
+	buckets [][]int32
+	queued  []bool
+	// xmark is the visited set of the X-path check, sized frames*nodes;
+	// xstack is its work list.
+	xmark  []bool
+	xstack []int32
 	// isOut marks primary-output nodes for O(1) lookup in hot loops.
 	isOut []bool
 	// seed is the synchronizing stimulus prefix (SyncSeed option).
 	seed sim.Seq
 
-	// btFail memoizes backtrace dead ends within one top-level call;
-	// without it the alternative-input DFS is exponential on
-	// reconvergent logic whose paths all end at the uncontrollable
-	// initial state.
-	btFail map[btKey]bool
+	// btMemo memoizes backtrace dead ends within one top-level call:
+	// entry (frame*nodes+node)*3+v failed when it equals btStamp, which
+	// each call bumps. Without it the alternative-input DFS is
+	// exponential on reconvergent logic whose paths all end at the
+	// uncontrollable initial state. fanins is the backtrace's stack of
+	// candidate fanin lists; each step pushes its list and pops it on
+	// return.
+	btMemo  []uint32
+	btStamp uint32
+	fanins  []int
 
 	// ctx enables cooperative cancellation of the search (nil = never
 	// cancelled). It is polled every 256 PODEM decisions via ctxCtr, a
@@ -59,15 +83,24 @@ type engine struct {
 	cancelled bool
 }
 
-// btKey identifies a failed backtrace subgoal.
-type btKey struct {
-	node, frame int
-	v           logic.V
-}
-
 func newEngine(c *netlist.Circuit, opt Options) *engine {
-	order, _ := c.MustLevels()
-	e := &engine{c: c, opt: opt, order: order, isOut: make([]bool, len(c.Nodes))}
+	order, level := c.MustLevels()
+	maxLevel, maxFanin := 0, 0
+	for _, id := range order {
+		maxLevel = max(maxLevel, level[id])
+		maxFanin = max(maxFanin, len(c.Nodes[id].Fanin))
+	}
+	e := &engine{
+		c:         c,
+		opt:       opt,
+		order:     order,
+		isOut:     make([]bool, len(c.Nodes)),
+		goodBuf:   make([]logic.V, 0, maxFanin),
+		faultyBuf: make([]logic.V, 0, maxFanin),
+		gateOut:   c.GateFanouts(),
+		buckets:   make([][]int32, maxLevel+1),
+		queued:    make([]bool, len(c.Nodes)),
+	}
 	for _, id := range c.Outputs {
 		e.isOut[id] = true
 	}
@@ -181,43 +214,7 @@ func (e *engine) generate(f fault.Fault) (sim.Seq, FaultStatus) {
 // whether a test was found and, if not, whether the search space was
 // exhausted (as opposed to hitting a limit).
 func (e *engine) podem(n int, free bool) (found, exhausted bool) {
-	// The synchronizing seed occupies extra leading frames; the search
-	// space (decision variables) stays the n requested frames.
-	nSeed := 0
-	if !free && e.seed != nil {
-		nSeed = len(e.seed)
-	}
-	e.frames = nSeed + n
-	e.free = free
-	e.pi = make([][]logic.V, e.frames)
-	for t := range e.pi {
-		e.pi[t] = make([]logic.V, len(e.c.Inputs))
-		if t < nSeed {
-			copy(e.pi[t], e.seed[t])
-			continue
-		}
-		for i := range e.pi[t] {
-			e.pi[t][i] = logic.X
-		}
-	}
-	n = e.frames
-	e.state = make([]logic.V, len(e.c.DFFs))
-	for i := range e.state {
-		e.state[i] = logic.X
-	}
-	if e.val == nil || len(e.val) < n {
-		old := e.val
-		e.val = make([][]logic.C, n)
-		copy(e.val, old)
-	}
-	for t := 0; t < n; t++ {
-		if e.val[t] == nil {
-			e.val[t] = make([]logic.C, len(e.c.Nodes))
-		}
-	}
-	e.dirty = 0 // full re-evaluation for the new fault/frame count
-
-	var stack []decision
+	e.begin(n, free)
 	backtracksLeft := int64(e.opt.MaxBacktracks)
 	for {
 		if e.budget > 0 && e.evals >= e.budget {
@@ -236,15 +233,15 @@ func (e *engine) podem(n int, free bool) (found, exhausted bool) {
 		}
 		if dec, ok := e.nextDecision(); ok {
 			e.assign(dec.frame, dec.idx, dec.v)
-			stack = append(stack, dec)
+			e.stack = append(e.stack, dec)
 			continue
 		}
 		// Backtrack.
 		for {
-			if len(stack) == 0 {
+			if len(e.stack) == 0 {
 				return false, true
 			}
-			top := &stack[len(stack)-1]
+			top := &e.stack[len(e.stack)-1]
 			if !top.flipped {
 				backtracksLeft--
 				e.backtracks++
@@ -257,9 +254,49 @@ func (e *engine) podem(n int, free bool) (found, exhausted bool) {
 				break
 			}
 			e.assign(top.frame, top.idx, logic.X)
-			stack = stack[:len(stack)-1]
+			e.stack = e.stack[:len(e.stack)-1]
 		}
 	}
+}
+
+// begin resets the search state for n frames: every decision variable
+// unknown, an empty decision stack, and a full sweep due. The buffers
+// only grow, so a warmed engine allocates nothing here.
+func (e *engine) begin(n int, free bool) {
+	// The synchronizing seed occupies extra leading frames; the search
+	// space (decision variables) stays the n requested frames.
+	nSeed := 0
+	if !free && e.seed != nil {
+		nSeed = len(e.seed)
+	}
+	e.frames = nSeed + n
+	e.free = free
+	nodes := len(e.c.Nodes)
+	for len(e.pi) < e.frames {
+		e.pi = append(e.pi, make([]logic.V, len(e.c.Inputs)))
+		e.val = append(e.val, make([]logic.C, nodes))
+	}
+	for t := 0; t < e.frames; t++ {
+		if t < nSeed {
+			copy(e.pi[t], e.seed[t])
+			continue
+		}
+		for i := range e.pi[t] {
+			e.pi[t][i] = logic.X
+		}
+	}
+	if e.state == nil {
+		e.state = make([]logic.V, len(e.c.DFFs))
+	}
+	for i := range e.state {
+		e.state[i] = logic.X
+	}
+	if len(e.btMemo) < e.frames*nodes*3 {
+		e.btMemo = make([]uint32, e.frames*nodes*3)
+	}
+	e.stack = e.stack[:0]
+	e.dirty = 0
+	e.full = true
 }
 
 func (e *engine) assign(frame, idx int, v logic.V) {
@@ -283,24 +320,27 @@ func (e *engine) inject(site fault.Site, c logic.C) logic.C {
 	return c
 }
 
-// simulate evaluates every frame of the expansion. The gate loop is the
-// generator's hot path, so composite values are evaluated rail-wise
-// over reusable buffers instead of through logic.EvalC (which would
-// allocate per call). Fault injection is hoisted out of the inner loop:
-// only the faulty node's own evaluation consults the site.
+// simulate brings every frame from dirty on up to date with the
+// current assignment. The first call after begin sweeps every gate;
+// later calls are event-driven: a frame re-injects its primary inputs
+// and flip-flops, and only the gate fanouts of values that changed are
+// evaluated, level by level, a gate whose output changes scheduling its
+// own fanouts. Both paths charge evals with the full sweep, so effort
+// counts and budgets do not depend on which one ran.
 func (e *engine) simulate() {
 	c := e.c
-	goodBuf := e.goodBuf[:0]
-	faultyBuf := e.faultyBuf[:0]
 	start := e.dirty
 	if start > e.frames {
 		start = 0
 	}
 	e.dirty = e.frames
+	e.evals += int64(e.frames-start) * int64(len(e.order))
+	sweep := e.full || e.sweepOnly
+	e.full = false
 	for t := start; t < e.frames; t++ {
 		vals := e.val[t]
 		for i, id := range c.Inputs {
-			vals[id] = e.inject(fault.Site{Node: id, Pin: fault.StemPin}, logic.CFromV(e.pi[t][i]))
+			e.setSource(vals, id, e.inject(fault.Site{Node: id, Pin: fault.StemPin}, logic.CFromV(e.pi[t][i])), sweep)
 		}
 		for i, id := range c.DFFs {
 			var in logic.C
@@ -312,35 +352,75 @@ func (e *engine) simulate() {
 			default:
 				in = logic.CX
 			}
-			vals[id] = e.inject(fault.Site{Node: id, Pin: fault.StemPin}, in)
+			e.setSource(vals, id, e.inject(fault.Site{Node: id, Pin: fault.StemPin}, in), sweep)
 		}
-		for _, id := range e.order {
-			n := &c.Nodes[id]
-			goodBuf, faultyBuf = goodBuf[:0], faultyBuf[:0]
-			if e.f.Node == id && !e.f.IsStem() {
-				for pin, fi := range n.Fanin {
-					v := vals[fi]
-					if pin == e.f.Pin {
-						v.Faulty = e.f.SA
-					}
-					goodBuf = append(goodBuf, v.Good)
-					faultyBuf = append(faultyBuf, v.Faulty)
-				}
-			} else {
-				for _, fi := range n.Fanin {
-					goodBuf = append(goodBuf, vals[fi].Good)
-					faultyBuf = append(faultyBuf, vals[fi].Faulty)
+		if sweep {
+			for _, id := range e.order {
+				vals[id] = e.evalGate(vals, id)
+			}
+			e.evaluated += int64(len(e.order))
+			continue
+		}
+		for l := range e.buckets {
+			// Gates only schedule fanouts on higher levels, so this
+			// level's bucket is complete when its drain starts.
+			for _, id := range e.buckets[l] {
+				e.queued[id] = false
+				out := e.evalGate(vals, int(id))
+				e.evaluated++
+				if out != vals[id] {
+					vals[id] = out
+					e.schedule(int(id))
 				}
 			}
-			out := logic.C{Good: logic.Eval(n.Op, goodBuf), Faulty: logic.Eval(n.Op, faultyBuf)}
-			if e.f.Node == id && e.f.IsStem() {
-				out.Faulty = e.f.SA
-			}
-			vals[id] = out
-			e.evals++
+			e.buckets[l] = e.buckets[l][:0]
 		}
 	}
-	e.goodBuf, e.faultyBuf = goodBuf, faultyBuf
+}
+
+// setSource stores a primary-input or flip-flop value of one frame and,
+// off the full sweep, schedules the node's gate fanouts when it changed.
+func (e *engine) setSource(vals []logic.C, id int, v logic.C, sweep bool) {
+	if vals[id] == v {
+		return
+	}
+	vals[id] = v
+	if !sweep {
+		e.schedule(id)
+	}
+}
+
+// schedule queues the gate fanouts of id for evaluation in this frame.
+func (e *engine) schedule(id int) {
+	for _, fo := range e.gateOut[id] {
+		if !e.queued[fo.ID] {
+			e.queued[fo.ID] = true
+			e.buckets[fo.Level] = append(e.buckets[fo.Level], fo.ID)
+		}
+	}
+}
+
+// evalGate evaluates gate id of one frame on both rails, applying the
+// target fault where the gate is its site. The rails are evaluated over
+// reusable buffers instead of through logic.EvalC, which would allocate
+// per call.
+func (e *engine) evalGate(vals []logic.C, id int) logic.C {
+	n := &e.c.Nodes[id]
+	good, faulty := e.goodBuf[:0], e.faultyBuf[:0]
+	branch := e.f.Node == id && !e.f.IsStem()
+	for pin, fi := range n.Fanin {
+		v := vals[fi]
+		if branch && pin == e.f.Pin {
+			v.Faulty = e.f.SA
+		}
+		good = append(good, v.Good)
+		faulty = append(faulty, v.Faulty)
+	}
+	out := logic.C{Good: logic.Eval(n.Op, good), Faulty: logic.Eval(n.Op, faulty)}
+	if e.f.Node == id && e.f.IsStem() {
+		out.Faulty = e.f.SA
+	}
+	return out
 }
 
 // detected reports whether a fault effect reaches an observation point:
@@ -389,22 +469,22 @@ func (e *engine) siteDriver() int {
 // nodes whose value is not yet fully determined. Both rails being known
 // is monotone under refinement, so a failed check soundly prunes the
 // whole subtree. Without this check PODEM keeps chasing D-frontier
-// gates whose errors are blocked everywhere downstream.
-func (e *engine) xpathExists() bool {
+// gates whose errors are blocked everywhere downstream. Frames before
+// tx, the first excited frame, carry no error and are not visited.
+func (e *engine) xpathExists(tx int) bool {
 	c := e.c
 	n := len(c.Nodes)
 	if len(e.xmark) < e.frames*n {
 		e.xmark = make([]bool, e.frames*n)
 	} else {
-		for i := 0; i < e.frames*n; i++ {
-			e.xmark[i] = false
-		}
+		clear(e.xmark[tx*n : e.frames*n])
 	}
 	open := func(t, id int) bool {
 		v := e.val[t][id]
 		return v.Good == logic.X || v.Faulty == logic.X || v.IsError()
 	}
-	var stack []int32
+	stack := e.xstack[:0]
+	defer func() { e.xstack = stack[:0] }()
 	push := func(t, id int) {
 		k := t*n + id
 		if !e.xmark[k] {
@@ -415,7 +495,7 @@ func (e *engine) xpathExists() bool {
 	// Seeds: every node already carrying an error, plus -- for a branch
 	// fault -- the consuming node of the faulted input line, whose error
 	// is only visible on the injected line, not on any node output.
-	for t := 0; t < e.frames; t++ {
+	for t := tx; t < e.frames; t++ {
 		for id := range c.Nodes {
 			if e.val[t][id].IsError() {
 				push(t, id)
@@ -461,15 +541,17 @@ func (e *engine) xpathExists() bool {
 // nextDecision finds an objective (propagation first, then excitation)
 // and backtraces it to an unassigned input; ok is false when no
 // objective remains, which triggers a backtrack.
+//
+// Errors start only at the fault site and move forward in time (the
+// free state carries none), so no frame before the first excited one
+// holds an error: the propagation scan starts there, and is skipped
+// when no frame is excited.
 func (e *engine) nextDecision() (decision, bool) {
-	excited := false
-	for t := 0; t < e.frames; t++ {
-		if e.siteValue(t).IsError() {
-			excited = true
-			break
-		}
+	tx := 0
+	for tx < e.frames && !e.siteValue(tx).IsError() {
+		tx++
 	}
-	if excited && !e.xpathExists() {
+	if tx < e.frames && !e.xpathExists(tx) {
 		// An effect exists but can no longer reach any observation
 		// point: every extension of this assignment is futile unless a
 		// different frame can still be excited, which the excitation
@@ -480,7 +562,7 @@ func (e *engine) nextDecision() (decision, bool) {
 		}
 	}
 	// Propagation: drive an error through a D-frontier gate.
-	for t := e.frames - 1; t >= 0; t-- {
+	for t := e.frames - 1; t >= tx; t-- {
 		for _, id := range e.order {
 			n := &e.c.Nodes[id]
 			out := e.val[t][id]
@@ -539,22 +621,22 @@ func (e *engine) nextDecision() (decision, bool) {
 // controllable path; dead ends are memoized per call to keep the
 // exploration linear.
 func (e *engine) backtrace(node, frame int, v logic.V) (decision, bool) {
-	if e.btFail == nil {
-		e.btFail = make(map[btKey]bool)
-	} else {
-		clear(e.btFail)
+	e.btStamp++
+	if e.btStamp == 0 {
+		clear(e.btMemo)
+		e.btStamp = 1
 	}
 	return e.backtraceMemo(node, frame, v)
 }
 
 func (e *engine) backtraceMemo(node, frame int, v logic.V) (decision, bool) {
-	key := btKey{node, frame, v}
-	if e.btFail[key] {
+	k := (frame*len(e.c.Nodes)+node)*3 + int(v)
+	if e.btMemo[k] == e.btStamp {
 		return decision{}, false
 	}
 	dec, ok := e.backtraceStep(node, frame, v)
 	if !ok {
-		e.btFail[key] = true
+		e.btMemo[k] = e.btStamp
 	}
 	return dec, ok
 }
@@ -597,47 +679,53 @@ func (e *engine) backtraceStep(node, frame int, v logic.V) (decision, bool) {
 		// Desired value for the chosen unknown input assumes the other
 		// unknowns stay at 0; complements are explored by backtracking.
 		parity := logic.Zero
-		var unknowns []int
+		base := len(e.fanins)
 		for _, fi := range n.Fanin {
 			g := e.val[frame][fi].Good
 			if g == logic.X {
-				unknowns = append(unknowns, fi)
+				e.fanins = append(e.fanins, fi)
 			} else {
 				parity = logic.Xor(parity, g)
 			}
 		}
-		for _, fi := range unknowns {
-			if dec, ok := e.backtraceMemo(fi, frame, logic.Xor(want, parity)); ok {
-				return dec, true
-			}
-		}
-		return decision{}, false
+		return e.backtraceAny(base, frame, logic.Xor(want, parity))
 	}
 	// AND/OR family.
 	want := v
 	if n.Op.Inverting() {
 		want = logic.Not(want)
 	}
-	unknowns := e.unknownInputs(n, frame, want)
-	for _, fi := range unknowns {
-		if dec, ok := e.backtraceMemo(fi, frame, want); ok {
+	return e.backtraceAny(e.unknownInputs(n, frame, want), frame, want)
+}
+
+// backtraceAny tries the fanins pushed on e.fanins from base on, in
+// order, until one backtraces to a decision, and pops them. Deeper steps
+// push above them and pop before returning, so the list stays intact
+// even when a push moves the buffer.
+func (e *engine) backtraceAny(base, frame int, v logic.V) (decision, bool) {
+	for i, end := base, len(e.fanins); i < end; i++ {
+		if dec, ok := e.backtraceMemo(e.fanins[i], frame, v); ok {
+			e.fanins = e.fanins[:base]
 			return dec, true
 		}
 	}
+	e.fanins = e.fanins[:base]
 	return decision{}, false
 }
 
-// unknownInputs returns the gate's X-valued fanins ordered by the
-// backtrace heuristic: cheapest-to-control first when guidance is on.
-func (e *engine) unknownInputs(n *netlist.Node, frame int, want logic.V) []int {
-	var unknowns []int
+// unknownInputs pushes the gate's X-valued fanins on e.fanins, ordered
+// by the backtrace heuristic (cheapest-to-control first when guidance is
+// on), and returns where they start.
+func (e *engine) unknownInputs(n *netlist.Node, frame int, want logic.V) int {
+	base := len(e.fanins)
 	for _, fi := range n.Fanin {
 		if e.val[frame][fi].Good == logic.X {
-			unknowns = append(unknowns, fi)
+			e.fanins = append(e.fanins, fi)
 		}
 	}
+	unknowns := e.fanins[base:]
 	if !e.opt.GuidedBacktrace || len(unknowns) < 2 {
-		return unknowns
+		return base
 	}
 	cost := e.cost1
 	if want == logic.Zero {
@@ -649,7 +737,7 @@ func (e *engine) unknownInputs(n *netlist.Node, frame int, want logic.V) []int {
 			unknowns[j-1], unknowns[j] = unknowns[j], unknowns[j-1]
 		}
 	}
-	return unknowns
+	return base
 }
 
 // extractTest renders the current PI assignment as a test sequence,

@@ -438,14 +438,14 @@ func TestCacheHammer(t *testing.T) {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
 			dir := t.TempDir()
 			s := newTestService(t, Config{
-				Workers:         workers,
-				QueueDepth:      256,
-				Metrics:         metrics.NewRegistry(),
-				JournalPath:     filepath.Join(dir, "journal.jsonl"),
-				CheckpointEvery: 1,
-				CacheBytes:      4096, // every payload fits, not all at once: constant eviction churn
-				CacheDir:        filepath.Join(dir, "cache"),
+				Workers:     workers,
+				QueueDepth:  256,
+				Metrics:     metrics.NewRegistry(),
+				JournalPath: filepath.Join(dir, "journal.jsonl"),
+				CacheBytes:  4096, // every payload fits, not all at once: constant eviction churn
+				CacheDir:    filepath.Join(dir, "cache"),
 			})
+			s.checkpointEvery = 1
 			reqs := make([]Request, 0, len(benches)*2)
 			for _, b := range benches {
 				w := len(mustParse(t, b).Inputs)

@@ -131,6 +131,81 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestWaitWakesOnCompletion parks three jobs behind a gated parse
+// stage and checks Wait: an expiring context returns the job as it
+// stands with the context's error; waiters blocked on a job that turns
+// done, failed or cancelled wake with that terminal view; and a
+// finished job answers at once, even under an expired context.
+func TestWaitWakesOnCompletion(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1, DefaultTimeout: time.Minute})
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	failpoint.Enable("stage.parse", func() error { <-gate; return nil })
+	defer release()
+	defer failpoint.DisableAll()
+
+	done, err := s.Submit(quickRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, s, done, StatusRunning)
+	failed, err := s.Submit(Request{Kind: KindRetime, Bench: "G1 = AND(\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, err := s.Submit(quickRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	v, err := s.Wait(ctx, done)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) || v.ID != done || v.Status != StatusRunning {
+		t.Fatalf("Wait past its deadline: %s %s, %v; want the running job and DeadlineExceeded", v.ID, v.Status, err)
+	}
+
+	want := map[string]Status{done: StatusDone, failed: StatusFailed, cancelled: StatusCancelled}
+	type waited struct {
+		v   View
+		err error
+	}
+	woken := make(map[string]chan waited, len(want))
+	for id := range want {
+		ch := make(chan waited, 1)
+		woken[id] = ch
+		go func(id string) {
+			v, err := s.Wait(context.Background(), id)
+			ch <- waited{v, err}
+		}(id)
+	}
+	if _, err := s.Cancel(cancelled); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	for id, status := range want {
+		select {
+		case w := <-woken[id]:
+			if w.err != nil || w.v.Status != status {
+				t.Fatalf("Wait(%s) = %s, %v; want %s", id, w.v.Status, w.err, status)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("Wait(%s) never woke", id)
+		}
+	}
+
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	for id, status := range want {
+		if v, err := s.Wait(expired, id); err != nil || v.Status != status {
+			t.Fatalf("Wait(%s) on a finished job = %s, %v; want %s", id, v.Status, err, status)
+		}
+	}
+	if _, err := s.Wait(context.Background(), "job-999999"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Wait on an unknown job: %v, want ErrNotFound", err)
+	}
+}
+
 // TestNoGoroutineLeakOnDeadline is the regression test for the
 // satellite fix: before it, runJob abandoned its compute goroutine on
 // deadline and a stream of timeouts accumulated leaked goroutines

@@ -44,12 +44,13 @@ func TestCorruptCheckpointDiscarded(t *testing.T) {
 
 	s, err := Open(Config{
 		Workers: 1, JournalPath: filepath.Join(dir, "jobs.journal"),
-		CheckpointEvery: 1, DefaultTimeout: time.Minute,
+		DefaultTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.checkpointEvery = 1
 	id, err := s.Submit(atpgRequest())
 	if err != nil {
 		t.Fatal(err)

@@ -136,14 +136,14 @@ func runDurable(t *testing.T, arm func(), reg *metrics.Registry, syncJournal boo
 	t.Helper()
 	dir := t.TempDir()
 	s := New(Config{
-		Workers:         1,
-		Metrics:         reg,
-		JournalPath:     filepath.Join(dir, "jobs.journal"),
-		SyncJournal:     syncJournal,
-		CheckpointEvery: 1,
-		CacheDir:        filepath.Join(dir, "cache"),
+		Workers:     1,
+		Metrics:     reg,
+		JournalPath: filepath.Join(dir, "jobs.journal"),
+		SyncJournal: syncJournal,
+		CacheDir:    filepath.Join(dir, "cache"),
 	})
 	defer s.Close()
+	s.checkpointEvery = 1
 	if arm != nil {
 		arm()
 	}

@@ -292,6 +292,9 @@ type Job struct {
 	// run so Cancel can interrupt it mid-stage.
 	cancelRequested bool
 	cancel          context.CancelFunc
+	// done is closed, exactly once, when the job turns terminal; Wait
+	// blocks on it. A requeued job keeps it open.
+	done chan struct{}
 	// submitted is held from enqueue until Submit has journaled the job,
 	// so a worker that dequeues it at once cannot journal its start
 	// ahead of its submit (replay drops events that precede their
@@ -477,6 +480,7 @@ func (j *Job) finishLocked(res *Result, err error) (status Status, dur time.Dura
 	}
 	j.finished = time.Now()
 	j.cancel = nil
+	close(j.done)
 	switch {
 	case err == nil:
 		j.status = StatusDone

@@ -61,14 +61,6 @@ type Config struct {
 	// the write-behind window is one OS page cache flush.
 	SyncJournal bool
 
-	// CheckpointEvery is the durable ATPG checkpoint cadence in decided
-	// faults for journaled ATPG and DeriveTests jobs: each such job
-	// keeps a <job-id>.ckpt file next to the journal, and a retry after
-	// a crash resumes from it instead of restarting (byte-identical
-	// result either way). Default 64; checkpoints are disabled when the
-	// service runs without a journal.
-	CheckpointEvery int
-
 	// CacheBytes bounds the in-memory tier of the request-keyed result
 	// cache: identical submissions (same bench text, kind and
 	// result-affecting fields) are answered from the first run's stored
@@ -120,9 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = atpg.DefaultCheckpointEvery
 	}
 	return c
 }
@@ -186,6 +175,15 @@ type Service struct {
 	timers map[string]*time.Timer // recovered jobs waiting out a retry backoff
 	done   chan struct{}          // closed once the pool has fully drained
 	wdDone chan struct{}          // closed when the watchdog loop exits; nil when disabled
+
+	// checkpointEvery is the durable ATPG checkpoint cadence in decided
+	// faults for journaled ATPG and DeriveTests jobs: each such job
+	// keeps a <job-id>.ckpt file next to the journal, and a retry after
+	// a crash resumes from it instead of restarting (byte-identical
+	// result either way). It starts at atpg.DefaultCheckpointEvery;
+	// tests shorten it after New. Without a journal there are no
+	// checkpoints.
+	checkpointEvery int
 }
 
 // New starts a service with cfg.Workers worker goroutines. It panics
@@ -217,6 +215,8 @@ func Open(cfg Config) (*Service, error) {
 		jobs:   make(map[string]*Job),
 		timers: make(map[string]*time.Timer),
 		done:   make(chan struct{}),
+
+		checkpointEvery: atpg.DefaultCheckpointEvery,
 	}
 	if len(cfg.Backends) > 0 {
 		backends := make([]dispatch.Backend, 0, len(cfg.Backends))
@@ -318,9 +318,11 @@ func (s *Service) recover(path string) (requeue []*Job, backoffs []time.Duration
 			result:  r.Result,
 			created: r.Created,
 			attempt: r.Attempt,
+			done:    make(chan struct{}),
 		}
 		s.jobs[j.id] = j
 		if r.Status.Terminal() {
+			close(j.done)
 			continue
 		}
 		if r.Attempt >= maxAttempts {
@@ -367,7 +369,7 @@ func (s *Service) checkpointConfig(j *Job) atpg.CheckpointConfig {
 	}
 	return atpg.CheckpointConfig{
 		Path:  path,
-		Every: s.cfg.CheckpointEvery,
+		Every: s.checkpointEvery,
 		OnWrite: func(_ *atpg.Checkpoint, err error) {
 			// Either outcome is a heartbeat: the cadence only fires
 			// because the engine decided more faults since the last one.
@@ -500,6 +502,7 @@ func (s *Service) SubmitWithRequestID(req Request, reqID string) (string, error)
 		reqID:   reqID,
 		status:  StatusQueued,
 		created: time.Now(),
+		done:    make(chan struct{}),
 	}
 	j.submitted.Add(1)
 	select {
@@ -590,22 +593,26 @@ func (s *Service) List() []View {
 	return views
 }
 
-// Wait polls until the job reaches a terminal state or the context
+// Wait blocks until the job reaches a terminal state or the context
 // expires; a convenience for tests and synchronous clients.
 func (s *Service) Wait(ctx context.Context, id string) (View, error) {
-	for {
-		v, err := s.Get(id)
-		if err != nil {
-			return View{}, err
-		}
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
+	if !ok {
+		return View{}, ErrNotFound
+	}
+	select {
+	case <-j.done:
+		return j.View(), nil
+	case <-ctx.Done():
+		// A job that finished as the context expired is still reported
+		// as finished.
+		v := j.View()
 		if v.Status.Terminal() {
 			return v, nil
 		}
-		select {
-		case <-ctx.Done():
-			return v, ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
+		return v, ctx.Err()
 	}
 }
 

@@ -22,13 +22,13 @@ import (
 func watchdogService(t *testing.T, reg *metrics.Registry) *Service {
 	t.Helper()
 	s := New(Config{
-		Workers:         2,
-		Metrics:         reg,
-		JournalPath:     filepath.Join(t.TempDir(), "jobs.journal"),
-		CheckpointEvery: 1,
-		WatchdogWindow:  250 * time.Millisecond,
+		Workers:        2,
+		Metrics:        reg,
+		JournalPath:    filepath.Join(t.TempDir(), "jobs.journal"),
+		WatchdogWindow: 250 * time.Millisecond,
 	})
 	t.Cleanup(s.Close)
+	s.checkpointEvery = 1
 	return s
 }
 

@@ -58,10 +58,6 @@ type (
 	ATPGResult = atpg.Result
 	// FaultSimResult is a fault-simulation outcome.
 	FaultSimResult = fsim.Result
-	// FaultSimulator is the persistent, event-driven, fault-dropping
-	// simulator behind FaultSimulate; use it directly to carry state
-	// and dropped faults across sequences.
-	FaultSimulator = fsim.Simulator
 	// FaultSimStats counts fault-simulation work (cycles, gate
 	// evaluations, drops, repacks).
 	FaultSimStats = fsim.Stats
@@ -223,21 +219,6 @@ func FaultSimulate(c *Circuit, faults []Fault, seq Seq) *FaultSimResult {
 	return fsim.Run(c, faults, seq)
 }
 
-// FaultSimulateContext is FaultSimulate with cooperative cancellation:
-// the simulator checks ctx every 128-cycle block and, when
-// interrupted, reports coverage over the prefix it processed along
-// with ctx's error.
-func FaultSimulateContext(ctx context.Context, c *Circuit, faults []Fault, seq Seq) (*FaultSimResult, error) {
-	return fsim.RunContext(ctx, c, faults, seq)
-}
-
-// NewFaultSimulator creates a persistent fault simulator over the
-// fault list, for incremental Simulate/Drop workflows (the ATPG
-// fault-dropping pattern).
-func NewFaultSimulator(c *Circuit, faults []Fault) *FaultSimulator {
-	return fsim.NewSimulator(c, faults)
-}
-
 // CoverageCurve returns cumulative fault detections after each vector.
 func CoverageCurve(c *Circuit, faults []Fault, seq Seq) []int {
 	return fsim.CoverageCurve(c, faults, seq)
@@ -256,32 +237,12 @@ func RetimeForTestability(impl *Circuit, opt ATPGOptions) (*Fig6Result, error) {
 	return core.Fig6Flow(impl, opt)
 }
 
-// RetimeForTestabilityContext is RetimeForTestability with cooperative
-// cancellation threaded through every stage (flow solve, ATPG, fault
-// simulation).
-func RetimeForTestabilityContext(ctx context.Context, impl *Circuit, opt ATPGOptions) (*Fig6Result, error) {
-	return core.Fig6FlowContext(ctx, impl, opt)
-}
-
 // VerifyRetiming checks that retimed behaves as a retiming of original:
 // exact state-transition-graph equivalence when both machines are small
 // enough, bounded 3-valued co-simulation otherwise. lagBound is the
 // maximum number of atomic moves of the retiming.
 func VerifyRetiming(original, retimed *Circuit, lagBound int) (*verify.Result, error) {
 	return verify.Retiming(original, retimed, lagBound)
-}
-
-// ScanATPG generates full-scan (combinational) tests -- the
-// design-for-testability baseline whose silicon cost the paper's
-// technique avoids.
-func ScanATPG(c *Circuit, faults []Fault, opt ATPGOptions) *atpg.ScanResult {
-	return atpg.RunScan(c, faults, opt)
-}
-
-// GeneticATPG runs the simulation-based (GATEST-style) sequential test
-// generator, the structural engine's classical alternative.
-func GeneticATPG(c *Circuit, faults []Fault, opt atpg.GeneticOptions) *ATPGResult {
-	return atpg.RunGenetic(c, faults, opt)
 }
 
 // Job service types: the concurrent retime-for-test service cmd/servd
@@ -314,14 +275,8 @@ const (
 )
 
 // NewJobService starts a job service; Close it when done. It panics
-// when the configured journal cannot be opened; use OpenJobService to
-// handle that error.
+// when the configured journal cannot be opened.
 func NewJobService(cfg JobServiceConfig) *JobService { return service.New(cfg) }
-
-// OpenJobService starts a job service, replaying the configured job
-// journal first: jobs that were queued or running when the previous
-// process died are re-queued and re-run.
-func OpenJobService(cfg JobServiceConfig) (*JobService, error) { return service.Open(cfg) }
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }

@@ -79,17 +79,20 @@ echo "== go test -race (result cache: hit/miss byte-identity, corrupt-entry disc
 named_test 'TestCachedRun|TestCacheServesRepeatedSubmission|TestCacheDiskTierSurvivesRestart|TestCorruptEntryDiscardedOnLoad|TestConcurrentIdenticalSubmissionsRunOnce|TestCacheHammer|TestATPGOneCacheEntryAcrossEngines' \
     -race -count=1 ./internal/resultcache/ ./internal/atpg/ ./internal/service/
 
-echo "== go test -race -short (fault-sharded ATPG determinism + Theorem 1-4 metamorphic suite)"
+echo "== go test -race -short (fault-sharded ATPG determinism, event-driven implication, Theorem 1-4 metamorphic suite)"
 # TestParallel* drive the speculator through RunContext with
 # Options.Workers set and require byte-identity with the serial run at
 # 1/2/4/8 workers; TestParallelRetiredSlotSkipped checks the worker-
 # driver handoff directly (a retired slot is skipped, never generated,
-# and counted fortuitous). TestTheorem* feed both engines'
-# test sets to the Theorem 4 check. -short keeps the gate fast: 12
-# theorem pairs and the 5-repeat determinism gauntlet. The full 50-pair
-# suite runs race-free in the plain `go test ./...` tier-1 pass; drop
-# -short here for a nightly run.
-named_test 'TestParallel|TestTheorem' -race -short -count=1 ./internal/atpg/ ./internal/verify/
+# and counted fortuitous). TestEventImplication* require PODEM's
+# event-driven simulate to report exactly what a full sweep reports
+# (tests, statuses, evals, backtracks) while evaluating at most half of
+# the gates. TestTheorem* feed both engines' test sets to the Theorem 4
+# check. -short keeps the gate fast: 12 theorem pairs, the 5-repeat
+# determinism gauntlet and a quarter of dk16's faults in the implication
+# check. The full suites run race-free in the plain `go test ./...`
+# tier-1 pass; drop -short here for a nightly run.
+named_test 'TestParallel|TestEventImplication|TestTheorem' -race -short -count=1 ./internal/atpg/ ./internal/verify/
 
 echo "== go test -race (dispatch fan-out: retry ladder, migration, degrade, byte-identity at 1/2/4 backends)"
 # The distributed chaos gate: failpoint-driven {first-try success,
@@ -159,6 +162,12 @@ echo "== alloc-regression gate (steady-state Simulate allocation-free, Machine.S
 # live in internal/fsim/alloc_test.go (Simulate: 0 serial, O(workers)
 # parallel; Machine.Step: 1, the returned output vector).
 summary named_test 'TestSimulateSteadyStateAllocs|TestMachineStepAllocs|TestSimulateParallelSteadyStateAllocs' -count=1 -v ./internal/fsim/
+
+echo "== alloc-regression gate (PODEM objective search allocation-free)"
+# Same -race caveat; the budget lives in internal/atpg/engine_test.go:
+# nextDecision, with its X-path work list, backtrace memo and fanin
+# lists, allocates nothing on a warmed engine.
+summary named_test 'TestNextDecisionAllocs' -count=1 -v ./internal/atpg/
 
 echo "== alloc-regression gate (log ring: <= 1 alloc per record, 0 with a prebuilt string)"
 # Same -race caveat; the budget lives in internal/logger/logger_test.go.
